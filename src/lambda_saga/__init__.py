@@ -70,7 +70,6 @@ from .schedule import (
     RateConditionReport,
     StepSchedule,
     validate_rate_conditions,
-    validate_schedule,
 )
 
 __version__ = "0.1.0"
@@ -129,7 +128,6 @@ __all__ = [
     "summarize_scaled_errors",
     "theta_star",
     "validate_rate_conditions",
-    "validate_schedule",
     "write_trace_csv",
     "write_trace_metadata",
 ]

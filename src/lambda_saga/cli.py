@@ -177,7 +177,15 @@ def _write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
-def _finish(out: Path, config: dict, summary: dict, started: float) -> None:
+def _finish(
+    out: Path,
+    config: dict,
+    summary: dict,
+    started: float,
+    timings: dict | None = None,
+) -> None:
+    """Write summary.json and metadata.json; ``timings`` (seconds, varying
+    from run to run) go to metadata.json only."""
     _write_json(out / "summary.json", summary)
     _write_json(
         out / "metadata.json",
@@ -185,6 +193,7 @@ def _finish(out: Path, config: dict, summary: dict, started: float) -> None:
             "config": config,
             "version": __version__,
             "wall_time_s": time.perf_counter() - started,
+            **(timings or {}),
             "created_utc": datetime.now(timezone.utc).isoformat(),
         },
     )
@@ -241,6 +250,7 @@ def cmd_run(args) -> int:
 
     x0 = _initial_point(config, problem)
     final_norms = {}
+    run_seconds = {}
     for lam in config["lambdas"]:
         trace = run(
             problem,
@@ -253,7 +263,11 @@ def cmd_run(args) -> int:
             x0=x0,
         )
         write_trace_csv(trace, out / f"trace_lambda_{lam}.csv")
-        _write_json(out / f"trace_lambda_{lam}.meta.json", trace_metadata(trace))
+        # Wall time goes to metadata.json so that the trace files stay
+        # byte-reproducible.
+        meta = trace_metadata(trace)
+        run_seconds[str(lam)] = meta.pop("wall_time_s")
+        _write_json(out / f"trace_lambda_{lam}.meta.json", meta)
         final_norms[str(lam)] = trace.snapshots[-1].grad_eval_norm
         print(
             f"[run] lambda={lam}: {config['iters']} steps, "
@@ -270,7 +284,7 @@ def cmd_run(args) -> int:
             for a, b in zip(lam_order, lam_order[1:])
         ),
     }
-    _finish(out, config, summary, started)
+    _finish(out, config, summary, started, {"run_seconds": run_seconds})
     return 0
 
 

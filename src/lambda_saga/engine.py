@@ -85,9 +85,6 @@ class IndexSampler:
             filled += chunk
         return out
 
-    def take_one(self) -> int:
-        return int(self.take(1)[0])
-
 
 # Distinct Philox key stream for initial points so initialization never
 # perturbs the index sampling sequence of the same seed.
@@ -387,6 +384,11 @@ def run(
                 raise RunError(f"step failed at iteration n={state.n}: {exc}") from exc
             if state.n % diag_every == 0:
                 trace.snapshots.append(snap())
+        if not np.all(np.isfinite(state.iterate)):
+            raise RunError(
+                f"run with seed {seed} has a non-finite iterate at a state "
+                f"counter in n={pos + 2}..{pos + block + 1}"
+            )
         pos += block
 
     if not trace.snapshots or trace.snapshots[-1].n != state.n:

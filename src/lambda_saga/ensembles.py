@@ -3,9 +3,19 @@
 Monte-Carlo verification needs hundreds to thousands of independent
 replications of the same configuration.  Running them one by one through the
 scalar engine would dominate every experiment, so this module advances all
-replications simultaneously: iterates are an (M, d) array, gradient tables an
-(M, N, d) array, and each step applies the identical update rule elementwise
-across replications.
+replications simultaneously: iterates are an (M, d) array and each step
+applies the identical update rule elementwise across replications.
+
+The gradient tables of all replications form one component-major (N, M, d)
+array.  Viewed as a flat array of N*M rows of d floats, row k*M + m is
+replication m's stored gradient of component k, so each step gathers the M
+sampled rows with one ``np.take`` and scatters the new ones with one indexed
+assignment; the periodic resync is a reduction over the leading axis.  The
+update is computed in place into preallocated (M, d) buffers, with every
+operation in the order of the scalar engine's
+``x - gamma * ((g - lam * row) + lam * mean)`` followed by
+``mean += (g - row) / N``.  That fixed order is what keeps every replication
+bitwise equal to a scalar ``run`` with its seed; the tests check it.
 
 Each replication m consumes the sampling stream of ``IndexSampler(seed_m)``
 exactly as a scalar run with that seed would, so replications stay
@@ -24,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _SAMPLER_BLOCK, IndexSampler
+from .engine import _SAMPLER_BLOCK, IndexSampler, RunError
 from .problems import FiniteSumProblem
 from .schedule import StepSchedule
 
@@ -84,8 +94,8 @@ def run_ensemble(
     seeds = derive_seeds(base_seed, m_replications)
     if workers <= 1 or m_replications < 2 * workers:
         return _run_chunk(
-            problem, lam, schedule, n_iters, seeds, x_ref, tuple(checkpoints),
-            x0, keep_checkpoint_iterates,
+            problem, lam, schedule, n_iters, seeds, 0, x_ref,
+            tuple(checkpoints), x0, keep_checkpoint_iterates,
         )
 
     chunks = np.array_split(np.arange(m_replications), workers)
@@ -94,8 +104,8 @@ def run_ensemble(
             pool.submit(
                 _run_chunk,
                 problem, lam, schedule, n_iters,
-                [seeds[i] for i in chunk], x_ref, tuple(checkpoints),
-                x0, keep_checkpoint_iterates,
+                [seeds[i] for i in chunk], int(chunk[0]), x_ref,
+                tuple(checkpoints), x0, keep_checkpoint_iterates,
             )
             for chunk in chunks
             if len(chunk)
@@ -124,12 +134,27 @@ def _concat_results(parts: list[EnsembleResult]) -> EnsembleResult:
     )
 
 
+def _table_mean(table: np.ndarray) -> np.ndarray:
+    """Per-replication mean of an (N, M, d) table, shape (M, d).
+
+    Each replication's mean is summed exactly as the scalar engine sums its
+    (N, d) table.  numpy reduces an outer axis one slab at a time, so for
+    d > 1 both add the N components in sequence.  With d == 1 the scalar
+    table is one contiguous column, which numpy sums pairwise; a contiguous
+    (M, N) copy gives every replication that same pairwise sum.
+    """
+    if table.shape[2] == 1:
+        return np.ascontiguousarray(table[:, :, 0].T).mean(axis=1)[:, None]
+    return table.mean(axis=0)
+
+
 def _run_chunk(
     problem,
     lam,
     schedule,
     n_iters,
     seeds,
+    first_index,
     x_ref,
     checkpoints,
     x0,
@@ -142,13 +167,24 @@ def _run_chunk(
     x0 = np.asarray(x0, dtype=float)
 
     x = np.broadcast_to(x0, (m, dim)).copy()
-    rows0 = problem.gradient_table(x0)
-    table = np.broadcast_to(rows0, (m, n_comp, dim)).copy()
-    mean = table.mean(axis=1)
-    rep_idx = np.arange(m)
+    table = np.empty((n_comp, m, dim))
+    table[...] = problem.gradient_table(x0)[:, None, :]
+    mean = _table_mean(table)
+    # Row k*M + r of the flat view is table[k, r]: one gather and one
+    # scatter move a whole d-vector per replication.
+    row_dtype = np.dtype((np.void, 8 * dim))
+    rows = table.reshape(-1).view(row_dtype)
+    rep_offset = np.arange(m)
+
+    # Per-step buffers, reused across the whole run.
+    flat = np.empty(m, dtype=np.int64)
+    row = np.empty((m, dim))
+    row_view = row.view(row_dtype).reshape(m)
+    direction = np.empty((m, dim))
+    scratch = np.empty((m, dim))
 
     samplers = [IndexSampler(s, n_comp) for s in seeds]
-    gammas = schedule.gammas(1, n_iters)
+    ks = np.empty((min(_SAMPLER_BLOCK, n_iters), m), dtype=np.int64)
     checkpoint_set = set(checkpoints)
     result = EnsembleResult(
         seeds=list(seeds),
@@ -174,26 +210,54 @@ def _run_chunk(
     since_resync = 0
     while pos < n_iters:
         block = min(_SAMPLER_BLOCK, n_iters - pos)
-        ks = np.empty((m, block), dtype=np.int64)
         for i, sampler in enumerate(samplers):
-            ks[i] = sampler.take(block)
+            ks[:block, i] = sampler.take(block)
+        gammas = schedule.gammas(pos + 1, pos + block).tolist()
         for j in range(block):
-            k = ks[:, j]
-            gamma = gammas[pos + j]
-            row_k = table[rep_idx, k]
-            g_new = problem.component_gradients(k, x)
-            x = x - gamma * ((g_new - lam * row_k) + lam * mean)
-            mean += (g_new - row_k) / n_comp
-            table[rep_idx, k] = g_new
+            k = ks[j]
+            np.multiply(k, m, out=flat)
+            np.add(flat, rep_offset, out=flat)
+            # The sampler's indices are in range, so "clip" never changes
+            # one; unlike the default "raise" it writes into row_view
+            # without an intermediate buffer.
+            np.take(rows, flat, out=row_view, mode="clip")
+            g_new = np.ascontiguousarray(
+                problem.component_gradients(k, x), dtype=float
+            )
+            # x -= gamma * ((g_new - lam * row) + lam * mean), evaluated in
+            # the scalar engine's order so every replication stays bitwise
+            # equal to its scalar run.
+            np.multiply(row, lam, out=direction)
+            np.subtract(g_new, direction, out=direction)
+            np.multiply(mean, lam, out=scratch)
+            np.add(direction, scratch, out=direction)
+            np.multiply(direction, gammas[j], out=direction)
+            np.subtract(x, direction, out=x)
+            # mean += (g_new - row) / N
+            np.subtract(g_new, row, out=scratch)
+            np.divide(scratch, n_comp, out=scratch)
+            np.add(mean, scratch, out=mean)
+            rows[flat] = g_new.view(row_dtype).reshape(m)
             since_resync += 1
             if since_resync >= n_comp:
-                mean = table.mean(axis=1)
+                mean = _table_mean(table)
                 since_resync = 0
             n_state = pos + j + 2
             if n_state in checkpoint_set:
                 record(n_state)
+        _check_finite(x, seeds, first_index, pos + 2, pos + block + 1)
         pos += block
 
     result.final_iterates = x
     result.final_grad_eval_norm = np.linalg.norm(mean, axis=1)
     return result
+
+
+def _check_finite(x, seeds, first_index, n_from, n_to) -> None:
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        r = int(np.flatnonzero(~finite)[0])
+        raise RunError(
+            f"replication {first_index + r} (seed {seeds[r]}) has a non-finite "
+            f"iterate at a state counter in n={n_from}..{n_to}"
+        )

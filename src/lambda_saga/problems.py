@@ -138,7 +138,7 @@ class QuadraticProblem(FiniteSumProblem):
         return x - self.anchors
 
     def component_gradients(self, ks, xs):
-        return xs - self.anchors[ks]
+        return xs - np.take(self.anchors, ks, axis=0)
 
     def values(self, xs):
         diffs = xs[:, None, :] - self.anchors[None, :, :]
@@ -214,9 +214,9 @@ class LogisticProblem(FiniteSumProblem):
         return self.features * (expit(t) - self.labels)[:, None]
 
     def component_gradients(self, ks, xs):
-        wk = self.features[ks]
+        wk = np.take(self.features, ks, axis=0)
         t = np.einsum("bd,bd->b", wk, xs)
-        return wk * (expit(t) - self.labels[ks])[:, None]
+        return wk * (expit(t) - np.take(self.labels, ks))[:, None]
 
     def values(self, xs):
         t = xs @ self.features.T

@@ -60,11 +60,6 @@ class StepSchedule:
         return math.ceil((self.c / eps) ** (1.0 / self.alpha))
 
 
-def validate_schedule(c: float, alpha: float) -> StepSchedule:
-    """Construct a StepSchedule, rejecting inadmissible (c, alpha)."""
-    return StepSchedule(c, alpha)
-
-
 @dataclass(frozen=True)
 class RateConditionReport:
     """Result of checking the moment-rate hypotheses for a schedule.

@@ -93,6 +93,10 @@ class TestRunCommand:
         assert meta["config"]["init"] == "gaussian"
         trace_meta = json.loads((first / "trace_lambda_0.5.meta.json").read_text())
         assert any(v != 0.0 for v in trace_meta["x0"])
+        assert (first / "trace_lambda_0.5.meta.json").read_bytes() == (
+            second / "trace_lambda_0.5.meta.json"
+        ).read_bytes()
+        assert meta["run_seconds"]["0.5"] > 0.0
 
     def test_dataset_run(self, tmp_path):
         data = tmp_path / "tiny.csv"

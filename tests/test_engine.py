@@ -30,7 +30,7 @@ class TestIndexSampler:
     def test_stream_independent_of_take_pattern(self):
         a = IndexSampler(99, 17)
         b = IndexSampler(99, 17)
-        one_by_one = np.array([a.take_one() for _ in range(10_000)])
+        one_by_one = np.concatenate([a.take(1) for _ in range(10_000)])
         mixed = np.concatenate([b.take(1), b.take(4095), b.take(5904)])
         assert np.array_equal(one_by_one, mixed)
 
@@ -162,7 +162,7 @@ class TestDiagnostics:
         sched = StepSchedule(0.5, 0.8)
         for i in range(50):
             lambda_saga_step(state, problem, 0.7, sched.gamma(i + 1),
-                             state.sampler.take_one())
+                             int(state.sampler.take(1)[0]))
         snap = diagnostics(state, problem, x_star, sched)
         assert snap.t_n >= snap.v_n >= 0.0
         assert snap.a_n >= 0.0 and snap.tau2 >= 0.0
@@ -305,6 +305,12 @@ class TestRun:
         problem = Broken(np.random.default_rng(0).standard_normal((5, 2)))
         with pytest.raises(RunError, match="iteration"):
             run(problem, 0.0, StepSchedule(1.0, 1.0), 100, seed=0, diag_every=10)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raises_naming_seed_and_block(self):
+        # Steps near 1e6 overflow the iterate to inf and then nan.
+        with pytest.raises(RunError, match=r"seed 3 .*non-finite.*n=2\.\.201"):
+            run(random_quadratic(10, 2, 1), 0.5, StepSchedule(1e6, 0.51), 200, 3)
 
 
 class TestTraceSerialization:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lambda_saga import (
+    RunError,
     StepSchedule,
     derive_seeds,
     random_logistic,
@@ -79,6 +81,66 @@ class TestReplicationSemantics:
         for n in (201, 401):
             assert np.array_equal(serial.checkpoint_sq_error[n],
                                   parallel.checkpoint_sq_error[n])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_divergence_raises_naming_replication(self, workers):
+        # Steps near 1e6 overflow every replication's iterate to inf and nan.
+        with pytest.raises(
+            RunError,
+            match=r"replication 0 \(seed 3\) .*non-finite.*n=2\.\.201",
+        ):
+            run_ensemble(random_quadratic(10, 2, 1), 0.5,
+                         StepSchedule(1e6, 0.51), 200, 4, base_seed=3,
+                         workers=workers)
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    n_comp=st.integers(1, 30),
+    dim=st.integers(1, 4),
+    m=st.integers(1, 6),
+    lam=st.floats(0.0, 1.0),
+    c=st.floats(0.1, 1.0),
+    alpha=st.floats(0.5, 1.0, exclude_min=True),
+    # Across the 4096-draw sampler block, so that runs reach a second and
+    # partial block, and mostly off multiples of N.
+    n_iters=st.integers(3900, 4400),
+    checkpoint_at=st.floats(0.0, 1.0),
+    problem_seed=st.integers(0, 2**16),
+    base_seed=st.integers(0, 2**31),
+)
+# numpy sums a single contiguous column pairwise, so d = 1 with N >= 8 needs
+# its own resync summation order.
+@example(n_comp=20, dim=1, m=5, lam=0.5, c=1.0, alpha=1.0, n_iters=4099,
+         checkpoint_at=0.5, problem_seed=0, base_seed=1)
+def test_ensemble_matches_scalar_runs_and_workers_bitwise(
+    n_comp, dim, m, lam, c, alpha, n_iters, checkpoint_at, problem_seed,
+    base_seed,
+):
+    problem = random_quadratic(n_comp, dim, problem_seed)
+    schedule = StepSchedule(c, alpha)
+    checkpoint = 2 + int(checkpoint_at * (n_iters - 1))
+    checkpoints = tuple(sorted({checkpoint, n_iters + 1}))
+    kwargs = dict(checkpoints=checkpoints, keep_checkpoint_iterates=True)
+    serial = run_ensemble(problem, lam, schedule, n_iters, m, base_seed,
+                          **kwargs)
+    parallel = run_ensemble(problem, lam, schedule, n_iters, m, base_seed,
+                            workers=2, **kwargs)
+    assert np.array_equal(serial.final_iterates, parallel.final_iterates)
+    for n in checkpoints:
+        assert np.array_equal(serial.checkpoint_iterates[n],
+                              parallel.checkpoint_iterates[n])
+        assert np.array_equal(serial.checkpoint_grad_eval_norm[n],
+                              parallel.checkpoint_grad_eval_norm[n])
+    for r, seed in enumerate(derive_seeds(base_seed, m)):
+        final = run(problem, lam, schedule, n_iters, seed, diag_every=10**9)
+        assert np.array_equal(serial.final_iterates[r], final.final_iterate)
+        # The state counter n is reached after n - 1 steps.
+        early = run(problem, lam, schedule, checkpoint - 1, seed,
+                    diag_every=10**9)
+        assert np.array_equal(serial.checkpoint_iterates[checkpoint][r],
+                              early.final_iterate)
 
 
 class TestConvergenceProxy:

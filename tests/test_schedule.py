@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from lambda_saga import StepSchedule, validate_rate_conditions, validate_schedule
+from lambda_saga import StepSchedule, validate_rate_conditions
 
 
 class TestGamma:
@@ -29,20 +29,20 @@ class TestGamma:
 
 class TestValidation:
     def test_accepts_alpha_one(self):
-        sched = validate_schedule(1.0, 1.0)
+        sched = StepSchedule(1.0, 1.0)
         assert (sched.c, sched.alpha) == (1.0, 1.0)
 
     def test_rejects_alpha_half(self):
         with pytest.raises(ValueError, match="alpha must exceed 1/2"):
-            validate_schedule(1.0, 0.5)
+            StepSchedule(1.0, 0.5)
 
     def test_rejects_negative_c(self):
         with pytest.raises(ValueError, match="c must be positive"):
-            validate_schedule(-1.0, 0.75)
+            StepSchedule(-1.0, 0.75)
 
     def test_rejects_alpha_above_one(self):
         with pytest.raises(ValueError, match="alpha"):
-            validate_schedule(1.0, 1.2)
+            StepSchedule(1.0, 1.2)
 
 
 @given(
