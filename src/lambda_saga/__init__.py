@@ -54,6 +54,7 @@ from .montecarlo import (
 )
 from .problems import (
     AssumptionReport,
+    FactoredRows,
     FiniteSumProblem,
     LogisticProblem,
     MinimizerError,
@@ -82,6 +83,7 @@ __all__ = [
     "DatasetError",
     "DiagnosticsSnapshot",
     "EnsembleResult",
+    "FactoredRows",
     "FiniteSumProblem",
     "GradientTable",
     "IndexSampler",

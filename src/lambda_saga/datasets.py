@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,8 +100,10 @@ def load_dataset(
 def _read_dense_csv(path: Path, label_column: int, delimiter: str):
     import csv
 
-    rows = []
-    labels = []
+    # Values go straight into flat arrays of doubles; nested lists of
+    # Python floats would take several times the memory of the result.
+    features = array("d")
+    labels = array("d")
     width = None
     with open(path, newline="") as fh:
         for i, record in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
@@ -124,10 +127,13 @@ def _read_dense_csv(path: Path, label_column: int, delimiter: str):
                 raise DatasetError(f"{path}: row {i}: non-numeric cell") from None
             labels.append(numeric[label_column])
             del numeric[label_column % width]
-            rows.append(numeric)
-    if not rows:
+            features.extend(numeric)
+    if not labels:
         raise DatasetError(f"{path}: no rows")
-    return np.array(rows, dtype=float), np.array(labels, dtype=float)
+    return (
+        np.frombuffer(features, dtype=float).reshape(len(labels), width - 1),
+        np.frombuffer(labels, dtype=float),
+    )
 
 
 def _read_svmlight(path: Path, n_features: int | None):

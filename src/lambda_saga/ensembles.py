@@ -6,16 +6,38 @@ scalar engine would dominate every experiment, so this module advances all
 replications simultaneously: iterates are an (M, d) array and each step
 applies the identical update rule elementwise across replications.
 
-The gradient tables of all replications form one component-major (N, M, d)
-array.  Viewed as a flat array of N*M rows of d floats, row k*M + m is
-replication m's stored gradient of component k, so each step gathers the M
-sampled rows with one ``np.take`` and scatters the new ones with one indexed
-assignment; the periodic resync is a reduction over the leading axis.  The
+The gradient tables of all replications form one component-major table,
+in one of two forms chosen from what the problem's ``gradient_table``
+returns:
+
+* Dense rows, for any problem: an (N, M, d) array.  Viewed as a flat array
+  of N*M rows of d floats, row k*M + m is replication m's stored gradient of
+  component k, so each step gathers the M sampled rows with one ``np.take``
+  and scatters the new ones with one indexed assignment.
+* Scalars, when the rows come as :class:`~lambda_saga.problems.FactoredRows`
+  (logistic regression, whose component gradients are w_k * s_k(x)): an
+  (N, M) array of the s_k, N*M*8 bytes instead of N*M*d*8.  Each step's
+  ``component_gradients`` brings its feature rows w_k and scalars s_new; the
+  step gathers the M old scalars, rebuilds the stored rows as
+  ``w_k * s_old`` and scatters the M new scalars.  Every stored row was
+  formed by the problem as exactly that product of the same two factors, so
+  the rebuilt row is bit for bit the row the dense table would hold.
+
+Both forms run through one loop, which calls ``gradient_table`` once and
+``component_gradients`` once per step.  The initial table mean is the mean
+of the ``gradient_table`` rows, summed as the scalar engine sums them.  The
 update is computed in place into preallocated (M, d) buffers, with every
 operation in the order of the scalar engine's
 ``x - gamma * ((g - lam * row) + lam * mean)`` followed by
 ``mean += (g - row) / N``.  That fixed order is what keeps every replication
 bitwise equal to a scalar ``run`` with its seed; the tests check it.
+
+Every N steps the table mean is recomputed from the table (resync).  Dense
+rows are reduced over the leading axis, which numpy does one component at a
+time; the scalar form builds the rows of a bounded chunk of components at a
+time and continues the same sequential sum across chunks, so both give the
+same bits.  With d = 1 both sum each replication's N values pairwise, as
+numpy sums the scalar engine's single contiguous column.
 
 Each replication m consumes the sampling stream of ``IndexSampler(seed_m)``
 exactly as a scalar run with that seed would, so replications stay
@@ -148,6 +170,106 @@ def _table_mean(table: np.ndarray) -> np.ndarray:
     return table.mean(axis=0)
 
 
+# Elements of the (rows, M, d) slab of products a scalar-table resync forms
+# at a time: 512 KiB, or one component's M*d products if that is more.
+_RESYNC_SLAB = 1 << 16
+
+
+def _scalar_table_mean(features, s, chunk_rows=None) -> np.ndarray:
+    """``_table_mean`` of the table with rows ``features[k] * s[k, m]``,
+    without forming it.
+
+    For d > 1 the rows are formed ``chunk_rows`` components at a time and
+    added in sequence: the running sum enters each chunk as an addend of its
+    first row, and numpy's reduction over the chunk's outer axis continues it,
+    so the additions happen in the order of the whole table's reduction.
+    For d == 1 the whole (N, M, 1) table is only N*M floats, as large as
+    ``s``, and goes to ``_table_mean``.
+    """
+    n_comp, m = s.shape
+    dim = features.shape[1]
+    if dim == 1:
+        return _table_mean((features * s)[:, :, None])
+    if chunk_rows is None:
+        chunk_rows = max(1, _RESYNC_SLAB // (m * dim))
+    total = np.empty((m, dim))
+    for start in range(0, n_comp, chunk_rows):
+        stop = min(start + chunk_rows, n_comp)
+        products = features[start:stop, None, :] * s[start:stop, :, None]
+        if start:
+            np.add(products[0], total, out=products[0])
+        np.add.reduce(products, axis=0, out=total)
+    return np.divide(total, n_comp, out=total)
+
+
+class _DenseTable:
+    """Stored gradients as (N, M, d) rows, for problems of any kind.
+
+    Row k*M + m of the flat view is replication m's row of component k, so
+    one gather and one scatter move a whole d-vector per replication.
+    """
+
+    def __init__(self, rows0, m):
+        n_comp, dim = rows0.shape
+        self.table = np.empty((n_comp, m, dim))
+        self.table[...] = rows0[:, None, :]
+        self._row_dtype = np.dtype((np.void, 8 * dim))
+        self._rows = self.table.reshape(-1).view(self._row_dtype)
+        self.row = np.empty((m, dim))
+        self._row_view = self.row.view(self._row_dtype).reshape(m)
+        self._fresh = None
+
+    def load(self, flat, fresh):
+        """Gather the stored rows at ``flat`` into ``row``; return the fresh
+        gradient rows as a contiguous float array."""
+        # The indices are in range, so "clip" never changes one; unlike the
+        # default "raise" it writes into the output without a buffer.
+        np.take(self._rows, flat, out=self._row_view, mode="clip")
+        self._fresh = np.ascontiguousarray(fresh, dtype=float)
+        return self._fresh
+
+    def store(self, flat):
+        """Scatter the fresh rows of the last ``load`` to ``flat``."""
+        self._rows[flat] = self._fresh.view(self._row_dtype).reshape(-1)
+
+    def mean(self):
+        return _table_mean(self.table)
+
+
+class _ScalarTable:
+    """Stored scalars s as (N, M), for gradients given as FactoredRows.
+
+    Replication m's row of component k is ``w_k * s[k, m]``, rebuilt on
+    each gather from the feature rows the fresh gradients bring.
+    """
+
+    def __init__(self, rows0, m):
+        self.features = rows0.features
+        self.s = np.empty((len(rows0), m))
+        self.s[...] = rows0.scalars[:, None]
+        self._flat = self.s.reshape(-1)
+        self._s_old = np.empty(m)
+        self.row = np.empty((m, rows0.shape[1]))
+        self._s_new = None
+
+    def load(self, flat, fresh):
+        np.take(self._flat, flat, out=self._s_old, mode="clip")
+        np.multiply(fresh.features, self._s_old[:, None], out=self.row)
+        self._s_new = fresh.scalars
+        return np.asarray(fresh)
+
+    def store(self, flat):
+        self._flat[flat] = self._s_new
+
+    def mean(self):
+        return _scalar_table_mean(self.features, self.s)
+
+
+# Samplers filled into one tile before its transpose is copied into the
+# (block, M) index array; a column per sampler would be a strided write.
+_SAMPLER_TILE = 64
+
+
 def _run_chunk(
     problem,
     lam,
@@ -167,24 +289,25 @@ def _run_chunk(
     x0 = np.asarray(x0, dtype=float)
 
     x = np.broadcast_to(x0, (m, dim)).copy()
-    table = np.empty((n_comp, m, dim))
-    table[...] = problem.gradient_table(x0)[:, None, :]
-    mean = _table_mean(table)
-    # Row k*M + r of the flat view is table[k, r]: one gather and one
-    # scatter move a whole d-vector per replication.
-    row_dtype = np.dtype((np.void, 8 * dim))
-    rows = table.reshape(-1).view(row_dtype)
+    rows0 = problem.gradient_table(x0)
+    factored = getattr(rows0, "scalars", None) is not None
+    table = (_ScalarTable if factored else _DenseTable)(rows0, m)
+    # Every replication starts from the same rows, so one replication's
+    # mean, repeated, is the whole table's.
+    rows0 = np.asarray(rows0, dtype=float)
+    mean = np.repeat(_table_mean(rows0[:, None, :]), m, axis=0)
+    del rows0  # the (N, d) rows are not needed past the start
     rep_offset = np.arange(m)
 
     # Per-step buffers, reused across the whole run.
     flat = np.empty(m, dtype=np.int64)
-    row = np.empty((m, dim))
-    row_view = row.view(row_dtype).reshape(m)
+    row = table.row
     direction = np.empty((m, dim))
     scratch = np.empty((m, dim))
 
     samplers = [IndexSampler(s, n_comp) for s in seeds]
     ks = np.empty((min(_SAMPLER_BLOCK, n_iters), m), dtype=np.int64)
+    tile = np.empty((min(_SAMPLER_TILE, m), ks.shape[0]), dtype=np.int64)
     checkpoint_set = set(checkpoints)
     result = EnsembleResult(
         seeds=list(seeds),
@@ -210,20 +333,17 @@ def _run_chunk(
     since_resync = 0
     while pos < n_iters:
         block = min(_SAMPLER_BLOCK, n_iters - pos)
-        for i, sampler in enumerate(samplers):
-            ks[:block, i] = sampler.take(block)
+        for first in range(0, m, _SAMPLER_TILE):
+            group = samplers[first:first + _SAMPLER_TILE]
+            for i, sampler in enumerate(group):
+                tile[i, :block] = sampler.take(block)
+            ks[:block, first:first + len(group)] = tile[:len(group), :block].T
         gammas = schedule.gammas(pos + 1, pos + block).tolist()
         for j in range(block):
             k = ks[j]
             np.multiply(k, m, out=flat)
             np.add(flat, rep_offset, out=flat)
-            # The sampler's indices are in range, so "clip" never changes
-            # one; unlike the default "raise" it writes into row_view
-            # without an intermediate buffer.
-            np.take(rows, flat, out=row_view, mode="clip")
-            g_new = np.ascontiguousarray(
-                problem.component_gradients(k, x), dtype=float
-            )
+            g_new = table.load(flat, problem.component_gradients(k, x))
             # x -= gamma * ((g_new - lam * row) + lam * mean), evaluated in
             # the scalar engine's order so every replication stays bitwise
             # equal to its scalar run.
@@ -237,10 +357,10 @@ def _run_chunk(
             np.subtract(g_new, row, out=scratch)
             np.divide(scratch, n_comp, out=scratch)
             np.add(mean, scratch, out=mean)
-            rows[flat] = g_new.view(row_dtype).reshape(m)
+            table.store(flat)
             since_resync += 1
             if since_resync >= n_comp:
-                mean = _table_mean(table)
+                mean = table.mean()
                 since_resync = 0
             n_state = pos + j + 2
             if n_state in checkpoint_set:

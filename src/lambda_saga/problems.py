@@ -8,7 +8,8 @@ Two concrete problem families are provided:
   reference test bed.
 * :class:`LogisticProblem` -- binary logistic regression on feature rows w_k
   with labels y_k in {0, 1}.  Gradients, Hessian, and the moment growth
-  constants have stable closed forms.
+  constants have stable closed forms.  Its gradient hooks return
+  :class:`FactoredRows`, the rows w_k * s_k with both factors attached.
 
 The module also houses the reference-minimizer Newton solver and the
 assumption checker that estimates the constants (L, L_p, rho, mu) a problem
@@ -159,6 +160,33 @@ class QuadraticProblem(FiniteSumProblem):
         }
 
 
+class FactoredRows(np.ndarray):
+    """Gradient rows of a linear model together with their two factors.
+
+    Row i is computed as ``features[i] * scalars[i]``: ``features`` is (B, d),
+    the rows w_k of the components, and ``scalars`` is (B,), the scalar s_k
+    of each component's gradient w_k * s_k(x).  The factors therefore
+    determine the rows bit for bit, which lets the ensemble kernel store one
+    scalar per component instead of a row (Defazio, Bach and Lacoste-Julien,
+    "SAGA", NeurIPS 2014, on linear predictors).  Slices carry no factors,
+    and arithmetic on the rows gives plain arrays.
+    """
+
+    features: np.ndarray | None = None
+    scalars: np.ndarray | None = None
+
+    def __array_wrap__(self, array, context=None, return_scalar=False):
+        array = array.view(np.ndarray)
+        return array[()] if return_scalar else array
+
+
+def factored_rows(features: np.ndarray, scalars: np.ndarray) -> FactoredRows:
+    """The rows ``features * scalars[:, None]``, carrying both factors."""
+    rows = np.multiply(features, scalars[:, None]).view(FactoredRows)
+    rows.features, rows.scalars = features, scalars
+    return rows
+
+
 class LogisticProblem(FiniteSumProblem):
     """Binary logistic regression: f_k(x) = log(1 + exp(<x, w_k>)) - y_k <x, w_k>.
 
@@ -211,12 +239,12 @@ class LogisticProblem(FiniteSumProblem):
     def gradient_table(self, x):
         x = self._check_dim(x)
         t = self.features @ x
-        return self.features * (expit(t) - self.labels)[:, None]
+        return factored_rows(self.features, expit(t) - self.labels)
 
     def component_gradients(self, ks, xs):
         wk = np.take(self.features, ks, axis=0)
         t = np.einsum("bd,bd->b", wk, xs)
-        return wk * (expit(t) - np.take(self.labels, ks))[:, None]
+        return factored_rows(wk, expit(t) - np.take(self.labels, ks))
 
     def values(self, xs):
         t = xs @ self.features.T

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lambda_saga import (
+    FiniteSumProblem,
     RunError,
     StepSchedule,
     derive_seeds,
@@ -11,6 +14,7 @@ from lambda_saga import (
     run,
     run_ensemble,
 )
+from lambda_saga.ensembles import _scalar_table_mean, _table_mean
 
 
 class TestReplicationSemantics:
@@ -141,6 +145,112 @@ def test_ensemble_matches_scalar_runs_and_workers_bitwise(
                     diag_every=10**9)
         assert np.array_equal(serial.checkpoint_iterates[checkpoint][r],
                               early.final_iterate)
+
+
+def assert_same_bits(a, b):
+    """Equal arrays down to the sign of zero, which ``array_equal`` ignores."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class DenseRows(FiniteSumProblem):
+    """A problem's gradients as plain arrays, without their factors, so
+    that an ensemble stores them as dense (N, M, d) rows."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.n_components, self.dim = problem.n_components, problem.dim
+
+    def component_gradients(self, ks, xs):
+        return np.asarray(self.problem.component_gradients(ks, xs))
+
+    def gradient_table(self, x):
+        return np.asarray(self.problem.gradient_table(x))
+
+    def value(self, x):
+        return self.problem.value(x)
+
+    def values(self, xs):
+        return self.problem.values(xs)
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    n_comp=st.integers(1, 30),
+    dim=st.integers(1, 4),
+    m=st.integers(1, 6),
+    lam=st.floats(0.0, 1.0),
+    alpha=st.floats(0.5, 1.0, exclude_min=True),
+    # Across the 4096-draw sampler block and past many resyncs.
+    n_iters=st.integers(3900, 4400),
+    checkpoint_at=st.floats(0.0, 1.0),
+    x0_scale=st.floats(0.0, 1.0),
+    problem_seed=st.integers(0, 2**16),
+    base_seed=st.integers(0, 2**31),
+)
+# d = 1 resyncs sum each replication's table pairwise.
+@example(n_comp=20, dim=1, m=5, lam=0.5, alpha=0.75, n_iters=4099,
+         checkpoint_at=0.5, x0_scale=0.5, problem_seed=0, base_seed=1)
+def test_scalar_table_matches_dense_table_bitwise(
+    n_comp, dim, m, lam, alpha, n_iters, checkpoint_at, x0_scale,
+    problem_seed, base_seed,
+):
+    problem = random_logistic(n_comp, dim, problem_seed)
+    x0 = x0_scale * np.random.default_rng(problem_seed).standard_normal(dim)
+    checkpoint = 2 + int(checkpoint_at * (n_iters - 1))
+    checkpoints = tuple(sorted({checkpoint, n_iters + 1}))
+    kwargs = dict(x_ref=np.zeros(dim), checkpoints=checkpoints, x0=x0,
+                  keep_checkpoint_iterates=True)
+    schedule = StepSchedule(1.0, alpha)
+    scalar = run_ensemble(problem, lam, schedule, n_iters, m, base_seed,
+                          **kwargs)
+    dense = run_ensemble(DenseRows(problem), lam, schedule, n_iters, m,
+                         base_seed, **kwargs)
+    parallel = run_ensemble(problem, lam, schedule, n_iters, m, base_seed,
+                            workers=2, **kwargs)
+    for other in (dense, parallel):
+        assert_same_bits(scalar.final_iterates, other.final_iterates)
+        assert_same_bits(scalar.final_grad_eval_norm,
+                         other.final_grad_eval_norm)
+        for n in checkpoints:
+            for field in ("checkpoint_iterates", "checkpoint_sq_error",
+                          "checkpoint_grad_eval_norm"):
+                assert_same_bits(getattr(scalar, field)[n],
+                                 getattr(other, field)[n])
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    n_comp=st.integers(1, 40),
+    dim=st.integers(1, 5),
+    m=st.integers(1, 6),
+    chunk_rows=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_scalar_table_mean_sums_in_the_dense_order(n_comp, dim, m, chunk_rows,
+                                                   seed):
+    rng = np.random.default_rng(seed)
+    # Zero features and zero scalars of either sign make signed-zero rows.
+    features = rng.standard_normal((n_comp, dim)) * rng.integers(0, 2, (n_comp, dim))
+    s = rng.standard_normal((n_comp, m)) * rng.choice([-1.0, 0.0, 1.0], (n_comp, m))
+    dense = features[:, None, :] * s[:, :, None]
+    assert_same_bits(_scalar_table_mean(features, s, chunk_rows),
+                     _table_mean(dense))
+
+
+def test_logistic_ensemble_stores_no_dense_table():
+    problem = random_logistic(4000, 50, seed=5)
+    m = 8
+    dense_table_bytes = problem.n_components * m * problem.dim * 8
+    tracemalloc.start()
+    try:
+        run_ensemble(problem, 0.5, StepSchedule(1.0, 0.75), 9000, m,
+                     base_seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_table_bytes / 4
 
 
 class TestConvergenceProxy:

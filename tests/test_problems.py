@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lambda_saga import (
+    FactoredRows,
     FiniteSumProblem,
     LogisticProblem,
     MinimizerError,
@@ -96,6 +97,22 @@ class TestFiniteSumStructure:
         values = logit.values(xs)
         for i in range(8):
             assert values[i] == pytest.approx(logit.value(xs[i]), rel=1e-12)
+
+    def test_gradient_rows_carry_their_factors(self, logit):
+        rng = np.random.default_rng(13)
+        xs = rng.standard_normal((8, logit.dim))
+        ks = rng.integers(0, logit.n_components, size=8)
+        for rows, features in (
+            (logit.component_gradients(ks, xs), logit.features[ks]),
+            (logit.gradient_table(xs[0]), logit.features),
+        ):
+            assert isinstance(rows, FactoredRows)
+            assert rows.features.tobytes() == features.tobytes()
+            rebuilt = rows.features * rows.scalars[:, None]
+            assert rebuilt.tobytes() == np.asarray(rows).tobytes()
+            assert type(rows - 1.0) is np.ndarray
+            assert type(rows.sum()) is np.float64
+            assert rows[:2].scalars is None
 
 
 class TestQuadratic:
