@@ -21,7 +21,6 @@ from .asymptotics import (
 from .datasets import DIGIT_SPLIT, DatasetError, LabelRule, load_dataset
 from .engine import (
     DiagnosticsSnapshot,
-    GradientTable,
     IndexSampler,
     OptimizerState,
     RunError,
@@ -32,7 +31,6 @@ from .engine import (
     init_state,
     lambda_saga_step,
     run,
-    theta_star,
     write_trace_csv,
     write_trace_metadata,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "EnsembleResult",
     "FactoredRows",
     "FiniteSumProblem",
-    "GradientTable",
     "IndexSampler",
     "LabelRule",
     "LogisticProblem",
@@ -128,7 +125,6 @@ __all__ = [
     "solve_lyapunov",
     "solve_minimizer",
     "summarize_scaled_errors",
-    "theta_star",
     "validate_rate_conditions",
     "write_trace_csv",
     "write_trace_metadata",

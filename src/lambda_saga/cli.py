@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .datasets import DIGIT_SPLIT, LabelRule, load_dataset
 from .engine import gaussian_initial_point, run, write_trace_csv, trace_metadata
-from .inequalities import cp_dp, recursion_bound_trace
+from .inequalities import check_norm_power_inequality, cp_dp, recursion_bound_trace
 from .montecarlo import clt_ensemble, rate_ensemble
 from .problems import (
     check_assumptions,
@@ -88,30 +88,9 @@ def _load_config(args) -> dict:
         if "config" in file_cfg and "version" in file_cfg:
             file_cfg = file_cfg["config"]
         config.update(file_cfg)
-    overrides = {
-        "lambdas": args.lambdas,
-        "c": args.c,
-        "alpha": args.alpha,
-        "iters": args.iters,
-        "reps": args.reps,
-        "seed": args.seed,
-        "diag_every": args.diag_every,
-        "workers": args.workers,
-        "dataset": args.dataset,
-        "format": args.format,
-        "scale": args.scale,
-        "mu": args.mu,
-        "checkpoints": args.checkpoints,
-        "epoch_size": args.epoch_size,
-        "p_list": args.p_list,
-        "max_p": args.max_p,
-        "pairs": args.pairs,
-        "sample_count": args.sample_count,
-        "init": args.init,
-        "init_scale": args.init_scale,
-    }
-    for key, value in overrides.items():
-        if value is not None:
+    # Every option named like a config key overrides it when given.
+    for key, value in vars(args).items():
+        if key in _RUN_DEFAULTS and value is not None:
             config[key] = value
     if args.problem is not None:
         try:
@@ -365,6 +344,7 @@ def cmd_rates(args) -> int:
         raise CliError("rates need --mu for problems without a known secant constant")
 
     estimates = {}
+    rows = ["lambda,p,n,moment,value_gap_moment"]
     had_warnings = False
     for lam in config["lambdas"]:
         for p in config["p_list"]:
@@ -380,7 +360,10 @@ def cmd_rates(args) -> int:
                 mu=float(mu),
                 workers=int(config["workers"]),
             )
-            estimates[f"lambda={lam},p={p}"] = est.to_dict()
+            record = estimates[f"lambda={lam},p={p}"] = est.to_dict()
+            for n, m, g in zip(record["checkpoints"], record["moments"],
+                               record["value_gap_moments"]):
+                rows.append(f"{lam},{p},{n},{m!r},{g!r}")
             had_warnings = had_warnings or bool(est.warnings)
             slope = "undefined" if est.slope is None else f"{est.slope:.3f}"
             print(
@@ -388,12 +371,6 @@ def cmd_rates(args) -> int:
                 f"sup-ratio={est.scaled_sup_ratio} warnings={list(est.warnings)}"
             )
 
-    rows = ["lambda,p,n,moment,value_gap_moment"]
-    for key, est in estimates.items():
-        lam = key.split(",")[0].split("=")[1]
-        p = key.split(",")[1].split("=")[1]
-        for n, m, g in zip(est["checkpoints"], est["moments"], est["value_gap_moments"]):
-            rows.append(f"{lam},{p},{n},{m!r},{g!r}")
     (out / "moments.csv").write_text("\n".join(rows) + "\n")
 
     summary = {
@@ -462,19 +439,8 @@ def cmd_lemmas(args) -> int:
         for d in (1, 3, 10):
             a = rng.standard_normal((pairs // 3, d))
             b = rng.standard_normal((pairs // 3, d))
-            consts = table[p]
-            na = np.linalg.norm(a, axis=1)
-            nb = np.linalg.norm(b, axis=1)
-            inner = np.einsum("ij,ij->i", a, b)
-            lhs = np.linalg.norm(a + b, axis=1) ** (2 + p)
-            rhs = (
-                na ** (2 + p)
-                + (2 + p) * inner * na**p
-                + consts.c_p * na**p * nb**2
-                + consts.d_p * nb ** (2 + p)
-            )
-            slack = rhs - lhs
-            violations += int((slack < -1e-9 * np.maximum(1.0, rhs)).sum())
+            holds, slack = check_norm_power_inequality(a, b, p)
+            violations += int((~holds).sum())
             worst = min(worst, float(slack.min()))
         random_checks[p] = {"pairs": 3 * (pairs // 3), "violations": violations,
                             "min_slack": worst}

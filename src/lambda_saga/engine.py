@@ -13,7 +13,39 @@ between plain SGD (lam = 0, the table terms cancel) and SAGA (lam = 1).
 The update direction is evaluated as ``(grad - lam * row) + lam * mean``,
 which is the same expression with lam distributed; this parenthesization
 makes the lam = 0 path bitwise identical to SGD and the lam = 1 path bitwise
-identical to the SAGA update written left to right.
+identical to the SAGA update written left to right.  The table mean is kept
+incrementally, ``mean += (grad - row) / N``, and recomputed from the table
+every N steps (resync) to keep floating-point drift bounded.
+
+The step is written once, in ``_steps``, for M replications at a time: an
+:class:`OptimizerState` holds (M, d) iterates and table means and the
+gradient tables of all M replications, and ``_advance`` runs the steps one
+sampler block at a time.  A scalar :func:`run` is the case M = 1; the Monte-Carlo ensembles of
+:mod:`lambda_saga.ensembles` run the same kernel with M replications, so a
+replication of an ensemble is bit for bit the scalar run with its seed.
+
+The gradient tables of all replications form one component-major table, in
+one of two forms chosen from what the problem's ``gradient_table`` returns:
+
+* Dense rows, for any problem: an (N, M, d) array.  Viewed as a flat array
+  of N*M rows of d floats, row k*M + m is replication m's stored gradient of
+  component k, so each step gathers the M sampled rows with one ``take`` and
+  scatters the new ones with one indexed assignment.
+* Scalars, when the rows come as :class:`~lambda_saga.problems.FactoredRows`
+  (logistic regression, whose component gradients are w_k * s_k(x)): an
+  (N, M) array of the s_k, N*M*8 bytes instead of N*M*d*8.  Each step's
+  ``component_gradients`` brings its feature rows w_k and scalars s_new; the
+  step gathers the M old scalars, rebuilds the stored rows as
+  ``w_k * s_old`` and scatters the M new scalars.  Every stored row was
+  formed by the problem as exactly that product of the same two factors, so
+  the rebuilt row is bit for bit the row the dense table would hold.
+
+Both forms call ``gradient_table`` once and ``component_gradients`` once per
+step.  Dense rows are resynced by a reduction over the leading axis, which
+numpy does one component at a time; the scalar form builds the rows of a
+bounded chunk of components at a time and continues the same sequential sum
+across chunks, so both give the same bits.  With d = 1 both sum each
+replication's N values pairwise, as numpy sums a single contiguous column.
 
 Beyond the iteration itself the module exposes the convergence diagnostics
 tracked in traces:
@@ -97,50 +129,300 @@ def gaussian_initial_point(dim: int, seed: int, scale: float = 1.0) -> np.ndarra
     return scale * gen.standard_normal(dim)
 
 
-class GradientTable:
-    """The N stored component gradients and their incrementally tracked mean.
+# -- gradient tables ----------------------------------------------------------
 
-    The mean is updated in O(d) per row replacement and recomputed from
-    scratch every ``resync_every`` updates to keep floating-point drift
-    bounded (pass 0 to disable resyncing).
+
+def _table_mean(table: np.ndarray) -> np.ndarray:
+    """Per-replication mean of an (N, M, d) table, shape (M, d).
+
+    numpy reduces an outer axis one slab at a time, so for d > 1 every
+    replication adds its N components in sequence, as it would alone.  With
+    d == 1 a lone replication's table is one contiguous column, which numpy
+    sums pairwise; a contiguous (M, N) copy gives every replication that same
+    pairwise sum.
+    """
+    if table.shape[2] == 1:
+        return np.ascontiguousarray(table[:, :, 0].T).mean(axis=1)[:, None]
+    return table.mean(axis=0)
+
+
+# Elements of the (rows, M, d) slab of products a scalar-table resync forms
+# at a time: 512 KiB, or one component's M*d products if that is more.
+_RESYNC_SLAB = 1 << 16
+
+
+def _scalar_table_mean(features, s, chunk_rows=None) -> np.ndarray:
+    """``_table_mean`` of the table with rows ``features[k] * s[k, m]``,
+    without forming it.
+
+    For d > 1 the rows are formed ``chunk_rows`` components at a time and
+    added in sequence: the running sum enters each chunk as an addend of its
+    first row, and numpy's reduction over the chunk's outer axis continues it,
+    so the additions happen in the order of the whole table's reduction.
+    For d == 1 the whole (N, M, 1) table is only N*M floats, as large as
+    ``s``, and goes to ``_table_mean``.
+    """
+    n_comp, m = s.shape
+    dim = features.shape[1]
+    if dim == 1:
+        return _table_mean((features * s)[:, :, None])
+    if chunk_rows is None:
+        chunk_rows = max(1, _RESYNC_SLAB // (m * dim))
+    total = np.empty((m, dim))
+    for start in range(0, n_comp, chunk_rows):
+        stop = min(start + chunk_rows, n_comp)
+        products = features[start:stop, None, :] * s[start:stop, :, None]
+        if start:
+            np.add(products[0], total, out=products[0])
+        np.add.reduce(products, axis=0, out=total)
+    return np.divide(total, n_comp, out=total)
+
+
+class _DenseTable:
+    """Stored gradients as (N, M, d) rows, for problems of any kind.
+
+    Row k*M + m of the flat view is replication m's row of component k, so
+    one gather and one scatter move a whole d-vector per replication.
     """
 
-    def __init__(self, rows: np.ndarray, resync_every: int | None = None):
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2:
-            raise ValueError("rows must be an (N, d) array")
-        self.rows = rows
-        self.mean = rows.mean(axis=0)
-        self.resync_every = rows.shape[0] if resync_every is None else resync_every
-        self._updates_since_sync = 0
+    def __init__(self, rows0, m):
+        n_comp, dim = rows0.shape
+        self.table = np.empty((n_comp, m, dim))
+        self.table[...] = rows0[:, None, :]
+        self._row_dtype = np.dtype((np.void, 8 * dim))
+        self._rows = self.table.reshape(-1).view(self._row_dtype)
+        self.row = np.empty((m, dim))
+        self._row_view = self.row.view(self._row_dtype).reshape(m)
+        self._fresh = None
+
+    def load(self, flat, fresh):
+        """Gather the stored rows at ``flat`` into ``row``; return the fresh
+        gradient rows as a contiguous float array."""
+        # The indices are in range, so "clip" never changes one; unlike the
+        # default "raise" it writes into the output without a buffer.
+        self._rows.take(flat, out=self._row_view, mode="clip")
+        self._fresh = np.ascontiguousarray(fresh, dtype=float)
+        return self._fresh
+
+    def store(self, flat):
+        """Scatter the fresh rows of the last ``load`` to ``flat``."""
+        self._rows[flat] = self._fresh.view(self._row_dtype).reshape(-1)
+
+    def rows(self):
+        """All stored rows, (N, M, d)."""
+        return self.table
+
+    def mean(self):
+        return _table_mean(self.table)
+
+
+class _ScalarTable:
+    """Stored scalars s as (N, M), for gradients given as FactoredRows.
+
+    Replication m's row of component k is ``w_k * s[k, m]``, rebuilt on
+    each gather from the feature rows the fresh gradients bring.
+    """
+
+    def __init__(self, rows0, m):
+        self.features = rows0.features
+        self.s = np.empty((len(rows0), m))
+        self.s[...] = rows0.scalars[:, None]
+        self._flat = self.s.reshape(-1)
+        self._s_old = np.empty(m)
+        self._s_old_column = self._s_old[:, None]
+        self.row = np.empty((m, rows0.shape[1]))
+        self._s_new = None
+
+    def load(self, flat, fresh):
+        self._flat.take(flat, out=self._s_old, mode="clip")
+        np.multiply(fresh.features, self._s_old_column, out=self.row)
+        self._s_new = fresh.scalars
+        return np.asarray(fresh)
+
+    def store(self, flat):
+        self._flat[flat] = self._s_new
+
+    def rows(self):
+        """All stored rows, (N, M, d), formed from the two factors."""
+        return self.features[:, None, :] * self.s[:, :, None]
+
+    def mean(self):
+        return _scalar_table_mean(self.features, self.s)
+
+
+# -- the step kernel ------------------------------------------------------------
+
+
+class OptimizerState:
+    """M replications of the optimizer, advanced in lockstep.
+
+    ``x`` and ``mean`` are (M, d): each replication's iterate and the
+    incrementally kept mean of its stored gradients.  ``table`` holds the
+    stored gradients of all replications, built from ``rows0`` (the
+    ``gradient_table`` of the start point) repeated M times.  ``n`` is the
+    iteration counter, shared by all replications and starting at 1, and
+    ``samplers`` holds each replication's IndexSampler (none when the caller
+    supplies the indices).  A scalar run is the state with M = 1, whose
+    iterate is ``iterate``.
+    """
+
+    def __init__(self, rows0, x1, m, samplers=()):
+        n_comp, dim = rows0.shape
+        factored = getattr(rows0, "scalars", None) is not None
+        self.table = (_ScalarTable if factored else _DenseTable)(rows0, m)
+        # Every replication starts from the same rows, so one replication's
+        # mean, repeated, is the whole table's.
+        rows0 = np.asarray(rows0, dtype=float)
+        self.mean = np.repeat(_table_mean(rows0[:, None, :]), m, axis=0)
+        self.x = np.broadcast_to(np.asarray(x1, dtype=float), (m, dim)).copy()
+        self.n_components = n_comp
+        self.n = 1
+        self.samplers = list(samplers)
+        self.since_resync = 0
+        # Per-step buffers, reused across the whole run.
+        self.flat = np.empty(m, dtype=np.int64)
+        self.rep_offset = np.arange(m)
+        self.direction = np.empty((m, dim))
+        self.scratch = np.empty((m, dim))
 
     @property
-    def n_components(self) -> int:
-        return self.rows.shape[0]
+    def iterate(self) -> np.ndarray:
+        """The iterate of replication 0, a view into ``x``."""
+        return self.x[0]
 
-    def update(self, k: int, new_row: np.ndarray) -> None:
-        """Replace row k, maintaining the mean incrementally."""
-        if not (0 <= k < self.n_components):
-            raise IndexError(f"component index {k} out of range")
-        self.mean += (new_row - self.rows[k]) / self.n_components
-        self.rows[k] = new_row
-        self._updates_since_sync += 1
-        if self.resync_every and self._updates_since_sync >= self.resync_every:
-            self.resync()
+    @iterate.setter
+    def iterate(self, value) -> None:
+        self.x[0] = value
 
-    def resync(self) -> None:
-        self.mean = self.rows.mean(axis=0)
-        self._updates_since_sync = 0
+    @property
+    def sampler(self) -> IndexSampler | None:
+        """The sampler of replication 0, or None."""
+        return self.samplers[0] if self.samplers else None
 
 
-@dataclass
-class OptimizerState:
-    """Iterate, gradient table, and iteration counter of one running optimizer."""
+def init_state(
+    problem: FiniteSumProblem,
+    x0: np.ndarray,
+    x1: np.ndarray | None = None,
+    seed: int | None = None,
+) -> OptimizerState:
+    """Fresh scalar (M = 1) state: table rows are the component gradients at
+    x0, the iterate starts at x1 (default x0), and the counter starts at 1."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (problem.dim,):
+        raise ValueError(f"x0 must have dimension {problem.dim}, got {x0.shape}")
+    x1 = x0 if x1 is None else np.asarray(x1, dtype=float)
+    if x1.shape != (problem.dim,):
+        raise ValueError(f"x1 must have dimension {problem.dim}, got {x1.shape}")
+    samplers = () if seed is None else (IndexSampler(seed, problem.n_components),)
+    return OptimizerState(problem.gradient_table(x0), x1, 1, samplers)
 
-    iterate: np.ndarray
-    table: GradientTable
-    n: int
-    sampler: IndexSampler | None = None
+
+def _steps(state: OptimizerState, problem, lam, gammas, ks, snapshot_at=(),
+           record=None) -> None:
+    """Take one step of every replication per entry of ``gammas``: step j
+    has step size gammas[j], and replication m samples component ks[j, m].
+
+    The iterate update uses the pre-update row and mean; afterwards the row
+    is overwritten with the component gradient at the old iterate.  Every
+    operation runs in place, in the order the module docstring gives.  A
+    raising gradient hook becomes a RunError naming the state counter of
+    its step.  After a step
+    that reaches a state counter in ``snapshot_at``, ``record(state)`` is
+    called.
+    """
+    x, mean, table = state.x, state.mean, state.table
+    row, direction, scratch = table.row, state.direction, state.scratch
+    m, n_comp = len(x), state.n_components
+    flat = state.flat
+    for gamma, k in zip(gammas, ks):
+        try:
+            fresh = problem.component_gradients(k, x)
+        except Exception as exc:
+            raise RunError(f"step failed at iteration n={state.n}: {exc}") from exc
+        # Replication m's row of component k is row k*M + m of the table;
+        # with one replication that is k itself.
+        if m == 1:
+            flat = k
+        else:
+            np.multiply(k, m, out=flat)
+            np.add(flat, state.rep_offset, out=flat)
+        g_new = table.load(flat, fresh)
+        # x -= gamma * ((g_new - lam * row) + lam * mean)
+        np.multiply(row, lam, out=direction)
+        np.subtract(g_new, direction, out=direction)
+        np.multiply(mean, lam, out=scratch)
+        np.add(direction, scratch, out=direction)
+        np.multiply(direction, gamma, out=direction)
+        np.subtract(x, direction, out=x)
+        # mean += (g_new - row) / N
+        np.subtract(g_new, row, out=scratch)
+        np.divide(scratch, n_comp, out=scratch)
+        np.add(mean, scratch, out=mean)
+        table.store(flat)
+        state.since_resync += 1
+        if state.since_resync == n_comp:
+            mean = state.mean = table.mean()
+            state.since_resync = 0
+        state.n += 1
+        if state.n in snapshot_at:
+            record(state)
+
+
+def lambda_saga_step(
+    state: OptimizerState,
+    problem: FiniteSumProblem,
+    lam: float,
+    gamma: float,
+    k: int,
+) -> OptimizerState:
+    """Advance a state one step with sampled index k (every replication
+    samples k); mutates and returns ``state``."""
+    if not (0.0 <= lam <= 1.0):
+        raise ValueError(f"lam must lie in [0, 1], got {lam}")
+    if not (0 <= k < problem.n_components):
+        raise IndexError(f"component index {k} out of range")
+    _steps(state, problem, lam, (gamma,), np.array([[k]], dtype=np.int64))
+    return state
+
+
+# Samplers filled into one tile before its transpose is copied into the
+# (block, M) index array; a column per sampler would be a strided write.
+_SAMPLER_TILE = 64
+
+
+def _advance(state, problem, lam, schedule, n_iters, snapshot_at, record, name):
+    """Run ``n_iters`` steps, replication m drawing from ``state.samplers[m]``,
+    with step size gamma(n) at state counter n; ``snapshot_at`` and ``record``
+    go to ``_steps``.  Each sampler block ends with a finiteness check, which
+    names the first replication r with a non-finite iterate as ``name(r)``.
+    """
+    m = len(state.x)
+    samplers = state.samplers
+    ks = np.empty((min(_SAMPLER_BLOCK, n_iters), m), dtype=np.int64)
+    tile = np.empty((min(_SAMPLER_TILE, m), ks.shape[0]), dtype=np.int64)
+    done = 0
+    while done < n_iters:
+        block = min(_SAMPLER_BLOCK, n_iters - done)
+        for first in range(0, m, _SAMPLER_TILE):
+            group = samplers[first:first + _SAMPLER_TILE]
+            for i, sampler in enumerate(group):
+                tile[i, :block] = sampler.take(block)
+            ks[:block, first:first + len(group)] = tile[:len(group), :block].T
+        n_first = state.n
+        gammas = schedule.gammas(n_first, n_first + block - 1).tolist()
+        _steps(state, problem, lam, gammas, ks[:block], snapshot_at, record)
+        finite = np.isfinite(state.x).all(axis=1)
+        if not finite.all():
+            r = int(np.flatnonzero(~finite)[0])
+            raise RunError(
+                f"{name(r)} has a non-finite iterate at a state counter in "
+                f"n={n_first + 1}..{state.n}"
+            )
+        done += block
+
+
+# -- diagnostics ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -172,59 +454,8 @@ class RunTrace:
     wall_time_s: float | None = None
 
 
-def init_state(
-    problem: FiniteSumProblem,
-    x0: np.ndarray,
-    x1: np.ndarray | None = None,
-    seed: int | None = None,
-) -> OptimizerState:
-    """Fresh optimizer state: table rows are the component gradients at x0,
-    the iterate starts at x1 (default x0), and the counter starts at 1."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (problem.dim,):
-        raise ValueError(f"x0 must have dimension {problem.dim}, got {x0.shape}")
-    if x1 is None:
-        x1 = x0
-    x1 = np.asarray(x1, dtype=float)
-    if x1.shape != (problem.dim,):
-        raise ValueError(f"x1 must have dimension {problem.dim}, got {x1.shape}")
-    table = GradientTable(problem.gradient_table(x0))
-    sampler = None if seed is None else IndexSampler(seed, problem.n_components)
-    return OptimizerState(iterate=x1.copy(), table=table, n=1, sampler=sampler)
-
-
-def lambda_saga_step(
-    state: OptimizerState,
-    problem: FiniteSumProblem,
-    lam: float,
-    gamma: float,
-    k: int,
-) -> OptimizerState:
-    """Advance one step with sampled index k; mutates and returns ``state``.
-
-    The iterate update uses the pre-update table row and mean; afterwards row
-    k is overwritten with the component gradient at the old iterate.
-    """
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    if not (0 <= k < problem.n_components):
-        raise IndexError(f"component index {k} out of range")
-    x = state.iterate
-    g_new = problem.component_gradient(k, x)
-    direction = (g_new - lam * state.table.rows[k]) + lam * state.table.mean
-    state.iterate = x - gamma * direction
-    state.table.update(k, g_new)
-    state.n += 1
-    return state
-
-
-def theta_star(problem: FiniteSumProblem, x_ref: np.ndarray) -> float:
-    """Average squared component-gradient norm at the reference point."""
-    return _ref_quantities(problem, x_ref)[1]
-
-
-# Cache of (gradient table at x_ref, theta*, f(x_ref)) per live problem
-# instance; problems are immutable so the cached values never go stale.
+# Cache of (gradient table at x_ref, f(x_ref)) per live problem instance;
+# problems are immutable so the cached values never go stale.
 _REF_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -234,10 +465,7 @@ def _ref_quantities(problem, x_ref):
     key = x_ref.tobytes()
     hit = per_problem.get(key)
     if hit is None:
-        table_ref = problem.gradient_table(x_ref)
-        theta = float((table_ref**2).sum(axis=1).mean())
-        f_ref = float(problem.value(x_ref))
-        hit = (table_ref, theta, f_ref)
+        hit = (problem.gradient_table(x_ref), float(problem.value(x_ref)))
         if len(per_problem) > 8:
             per_problem.clear()
         per_problem[key] = hit
@@ -250,19 +478,20 @@ def diagnostics(
     x_ref: np.ndarray,
     schedule: StepSchedule | None = None,
 ) -> DiagnosticsSnapshot:
-    """Full diagnostics snapshot of ``state`` relative to reference point x_ref.
+    """Full diagnostics snapshot of a scalar ``state`` (replication 0)
+    relative to reference point x_ref.
 
     ``tau2`` is recomputed by a fresh pass over all components at the current
     iterate; ``a_n`` needs only the stored table rows.  ``t_n`` uses the step
     gamma(n - 1) and needs a schedule; at the initial state n = 1, where no
     previous step exists, gamma(1) stands in.
     """
-    x_ref = np.asarray(x_ref, dtype=float)
-    table_ref, _, f_ref = _ref_quantities(problem, x_ref)
+    table_ref, f_ref = _ref_quantities(problem, x_ref)
     x = state.iterate
-    diff = x - x_ref
+    diff = x - np.asarray(x_ref, dtype=float)
     v_n = float(diff @ diff)
-    a_n = float(((state.table.rows - table_ref) ** 2).sum(axis=1).mean())
+    rows = state.table.rows()[:, 0, :]
+    a_n = float(((rows - table_ref) ** 2).sum(axis=1).mean())
     tau2 = float(((problem.gradient_table(x) - table_ref) ** 2).sum(axis=1).mean())
     t_n = None
     if schedule is not None:
@@ -274,7 +503,7 @@ def diagnostics(
         a_n=a_n,
         tau2=tau2,
         t_n=t_n,
-        grad_eval_norm=float(np.linalg.norm(state.table.mean)),
+        grad_eval_norm=float(np.linalg.norm(state.mean[0])),
         value_gap=float(problem.value(x)) - f_ref,
     )
 
@@ -286,7 +515,7 @@ def _partial_snapshot(state) -> DiagnosticsSnapshot:
         a_n=None,
         tau2=None,
         t_n=None,
-        grad_eval_norm=float(np.linalg.norm(state.table.mean)),
+        grad_eval_norm=float(np.linalg.norm(state.mean[0])),
         value_gap=None,
     )
 
@@ -294,36 +523,25 @@ def _partial_snapshot(state) -> DiagnosticsSnapshot:
 def conditional_step_expectation(
     state: OptimizerState,
     problem: FiniteSumProblem,
+    lam: float,
+    gamma: float,
     x_ref: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """One-step conditional expectations by enumerating every possible draw.
+) -> tuple[np.ndarray, float]:
+    """One-step conditional expectations of a scalar state by enumerating
+    every possible draw.
 
-    Returns ``(expected_a_next, martingale_mean)`` where ``expected_a_next``
-    averages, over the N equally likely draws, the table discrepancy a_{n+1}
-    that each draw would produce, and ``martingale_mean`` is the average of
-    the table-centering martingale increments.  Does not mutate the state.
+    The N equally likely draws are taken as one kernel step over N copies of
+    the state, copy k sampling component k.  Returns ``(expected_iterate,
+    expected_a_next)``: the averages over the copies of X_{n+1} and of the
+    table discrepancy a_{n+1}.  Does not mutate the state.
     """
-    x_ref = np.asarray(x_ref, dtype=float)
-    table_ref, _, _ = _ref_quantities(problem, x_ref)
-    rows = state.table.rows
+    table_ref, _ = _ref_quantities(problem, x_ref)
     n_comp = problem.n_components
-
-    stored_disc = ((rows - table_ref) ** 2).sum(axis=1)
-    fresh_disc = (
-        (problem.gradient_table(state.iterate) - table_ref) ** 2
-    ).sum(axis=1)
-    a_n = float(stored_disc.mean())
-    # Draw k replaces row k: a_{n+1} = a_n + (fresh_k - stored_k) / N.
-    a_next_per_draw = a_n + (fresh_disc - stored_disc) / n_comp
-    expected_a_next = float(a_next_per_draw.mean())
-
-    # The increment for draw k is rows[k] - mean(rows); averaging over k
-    # telescopes to mean(rows) - mean(rows).  Evaluating both terms with the
-    # identical reduction makes the centering identity exact in floating
-    # point, not just up to round-off.
-    mean_of_rows = rows.mean(axis=0)
-    martingale_mean = rows.mean(axis=0) - mean_of_rows
-    return expected_a_next, martingale_mean
+    copies = OptimizerState(state.table.rows()[:, 0, :], state.iterate, n_comp)
+    copies.mean[...] = state.mean
+    _steps(copies, problem, lam, (gamma,), np.arange(n_comp)[None, :])
+    a_next = ((copies.table.rows() - table_ref[:, None, :]) ** 2).sum(axis=2)
+    return copies.x.mean(axis=0), float(a_next.mean(axis=0).mean())
 
 
 def run(
@@ -354,10 +572,9 @@ def run(
     if x0 is None:
         x0 = np.zeros(problem.dim)
     state = init_state(problem, x0, x1, seed=seed)
-    sampler = state.sampler
     start = time.perf_counter()
 
-    def snap():
+    def snap(state):
         if x_ref is not None:
             return diagnostics(state, problem, x_ref, schedule)
         return _partial_snapshot(state)
@@ -370,29 +587,15 @@ def run(
         x0=np.asarray(x0, dtype=float).copy(),
         x1=state.iterate.copy(),
     )
-    trace.snapshots.append(snap())
-
-    gammas = schedule.gammas(1, n_iters) if n_iters else np.empty(0)
-    pos = 0
-    while pos < n_iters:
-        block = min(_SAMPLER_BLOCK, n_iters - pos)
-        ks = sampler.take(block)
-        for j in range(block):
-            try:
-                lambda_saga_step(state, problem, lam, gammas[pos + j], int(ks[j]))
-            except Exception as exc:
-                raise RunError(f"step failed at iteration n={state.n}: {exc}") from exc
-            if state.n % diag_every == 0:
-                trace.snapshots.append(snap())
-        if not np.all(np.isfinite(state.iterate)):
-            raise RunError(
-                f"run with seed {seed} has a non-finite iterate at a state "
-                f"counter in n={pos + 2}..{pos + block + 1}"
-            )
-        pos += block
-
-    if not trace.snapshots or trace.snapshots[-1].n != state.n:
-        trace.snapshots.append(snap())
+    trace.snapshots.append(snap(state))
+    _advance(
+        state, problem, lam, schedule, n_iters,
+        range(diag_every, n_iters + 2, diag_every),
+        lambda state: trace.snapshots.append(snap(state)),
+        lambda r: f"run with seed {seed}",
+    )
+    if trace.snapshots[-1].n != state.n:
+        trace.snapshots.append(snap(state))
     trace.final_iterate = state.iterate.copy()
     trace.wall_time_s = time.perf_counter() - start
     return trace

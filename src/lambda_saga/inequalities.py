@@ -50,21 +50,22 @@ def cp_dp(p: int) -> NormPowerConstants:
     return NormPowerConstants(p=p, c_p=c, d_p=d)
 
 
-def check_norm_power_inequality(
-    a: np.ndarray, b: np.ndarray, p: int
-) -> tuple[bool, float]:
+def check_norm_power_inequality(a: np.ndarray, b: np.ndarray, p: int):
     """Evaluate both sides of the norm-power bound at (a, b).
 
-    Returns ``(holds, slack)`` with slack = RHS - LHS; ``holds`` absorbs
+    ``a`` and ``b`` are vectors of shape (d,), or stacks of B pairs of shape
+    (B, d).  Returns ``(holds, slack)`` with slack = RHS - LHS, a bool and a
+    float for one pair or two (B,) arrays for a stack; ``holds`` absorbs
     round-off by allowing slack >= -1e-9 * max(1, RHS).
     """
     consts = cp_dp(p)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    inner = float(a @ b)
-    lhs = float(np.linalg.norm(a + b)) ** (2 + p)
+    single = np.ndim(a) == 1
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    inner = np.einsum("ij,ij->i", a, b)
+    lhs = np.linalg.norm(a + b, axis=1) ** (2 + p)
     rhs = (
         na ** (2 + p)
         + (2 + p) * inner * na**p
@@ -72,7 +73,9 @@ def check_norm_power_inequality(
         + consts.d_p * nb ** (2 + p)
     )
     slack = rhs - lhs
-    holds = slack >= -1e-9 * max(1.0, rhs)
+    holds = slack >= -1e-9 * np.maximum(1.0, rhs)
+    if single:
+        return bool(holds[0]), float(slack[0])
     return holds, slack
 
 

@@ -139,7 +139,7 @@ class QuadraticProblem(FiniteSumProblem):
         return x - self.anchors
 
     def component_gradients(self, ks, xs):
-        return xs - np.take(self.anchors, ks, axis=0)
+        return xs - self.anchors.take(ks, axis=0)
 
     def values(self, xs):
         diffs = xs[:, None, :] - self.anchors[None, :, :]
@@ -242,9 +242,9 @@ class LogisticProblem(FiniteSumProblem):
         return factored_rows(self.features, expit(t) - self.labels)
 
     def component_gradients(self, ks, xs):
-        wk = np.take(self.features, ks, axis=0)
+        wk = self.features.take(ks, axis=0)
         t = np.einsum("bd,bd->b", wk, xs)
-        return factored_rows(wk, expit(t) - np.take(self.labels, ks))
+        return factored_rows(wk, expit(t) - self.labels.take(ks))
 
     def values(self, xs):
         t = xs @ self.features.T

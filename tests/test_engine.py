@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lambda_saga import (
-    GradientTable,
     IndexSampler,
+    OptimizerState,
     QuadraticProblem,
     RunError,
     StepSchedule,
@@ -12,12 +12,13 @@ from lambda_saga import (
     gaussian_initial_point,
     init_state,
     lambda_saga_step,
+    random_logistic,
     random_quadratic,
     run,
-    theta_star,
     write_trace_csv,
     write_trace_metadata,
 )
+from lambda_saga.engine import _advance
 
 
 @pytest.fixture
@@ -60,43 +61,70 @@ class TestGaussianInit:
         )
 
 
+def scrambled_state(problem, rng, steps):
+    """A scalar state whose table rows were stored at ``steps`` random
+    iterates with random steps, and whose iterate is random."""
+    state = init_state(problem, rng.standard_normal(problem.dim))
+    for _ in range(steps):
+        state.iterate = rng.standard_normal(problem.dim)
+        lambda_saga_step(state, problem, rng.random(), rng.random(),
+                         int(rng.integers(problem.n_components)))
+    state.iterate = rng.standard_normal(problem.dim)
+    return state
+
+
 class TestGradientTable:
+    """The kernel state's stored gradients and their incrementally kept mean."""
+
     def test_incremental_mean_tracks_rows(self):
-        rng = np.random.default_rng(0)
-        table = GradientTable(rng.standard_normal((10, 3)))
-        for _ in range(200):
-            table.update(int(rng.integers(10)), rng.standard_normal(3))
-        assert np.allclose(table.mean, table.rows.mean(axis=0), atol=1e-12)
+        problem = random_quadratic(30, 3, seed=0)
+        # 217 steps end 7 updates after the last resync.
+        state = scrambled_state(problem, np.random.default_rng(0), 217)
+        assert state.since_resync == 7
+        assert np.allclose(state.mean[0], state.table.rows()[:, 0, :].mean(axis=0),
+                           atol=1e-12)
 
-    def test_drift_bounded_without_resync(self):
-        rng = np.random.default_rng(1)
-        table = GradientTable(rng.standard_normal((20, 3)), resync_every=0)
-        for _ in range(1_000_000):
-            table.update(int(rng.integers(20)), rng.standard_normal(3))
-        drift = np.linalg.norm(table.mean - table.rows.mean(axis=0))
-        assert drift <= 1e-8
-        table.resync()
-        exact = sum(table.rows[k] for k in range(20)) / 20
-        assert np.linalg.norm(table.mean - exact) <= 1e-15
+    @pytest.mark.parametrize("make", [random_quadratic, random_logistic])
+    def test_drift_bounded_before_resync(self, make):
+        # At state counters n = N, 2N, ... each replication's mean has taken
+        # N - 1 incremental updates since the last resync, the most it ever
+        # takes; compare it there with the exact mean of its table.
+        problem = make(1000, 3, 1)
+        m = 64
+        samplers = [IndexSampler(seed, problem.n_components) for seed in range(m)]
+        x0 = np.ones(problem.dim)
+        state = OptimizerState(problem.gradient_table(x0), x0, m, samplers)
+        drifts = []
 
-    def test_index_out_of_range(self):
-        table = GradientTable(np.zeros((3, 2)))
-        with pytest.raises(IndexError):
-            table.update(3, np.ones(2))
+        def record(state):
+            assert state.since_resync == problem.n_components - 1
+            drifts.append(np.abs(state.mean - state.table.mean()).max())
+
+        _advance(state, problem, 0.5, StepSchedule(1.0, 0.75), 3000,
+                 range(1000, 3001, 1000), record, str)
+        assert len(drifts) == 3
+        assert max(drifts) <= 1e-8
+
+    def test_index_out_of_range(self, tiny_quadratic):
+        state = init_state(tiny_quadratic, np.zeros(1))
+        for k in (-1, 2):
+            with pytest.raises(IndexError):
+                lambda_saga_step(state, tiny_quadratic, 0.5, 1.0, k)
+        assert state.n == 1
 
 
 class TestInitState:
     def test_table_rows_and_mean(self, tiny_quadratic):
         state = init_state(tiny_quadratic, np.array([2.0]))
-        assert np.array_equal(state.table.rows.ravel(), [1.0, 3.0])
-        assert np.array_equal(state.table.mean, [2.0])
+        assert np.array_equal(state.table.rows().ravel(), [1.0, 3.0])
+        assert np.array_equal(state.mean, [[2.0]])
         assert state.n == 1
 
     def test_start_at_equilibrium(self, tiny_quadratic):
         x_star = tiny_quadratic.reference_minimizer()
         state = init_state(tiny_quadratic, x_star)
-        assert np.array_equal(state.table.rows.ravel(), [-1.0, 1.0])
-        assert np.array_equal(state.table.mean, [0.0])
+        assert np.array_equal(state.table.rows().ravel(), [-1.0, 1.0])
+        assert np.array_equal(state.mean, [[0.0]])
 
     def test_separate_x1(self, tiny_quadratic):
         state = init_state(tiny_quadratic, np.array([2.0]), np.array([-5.0]))
@@ -121,10 +149,10 @@ class TestStep:
         state = init_state(tiny_quadratic, np.array([2.0]))
         lambda_saga_step(state, tiny_quadratic, 1.0, gamma=1.0, k=0)
         # row 0 now holds grad_0 at the pre-step iterate 2, row 1 untouched
-        assert np.array_equal(state.table.rows.ravel(), [1.0, 3.0])
+        assert np.array_equal(state.table.rows().ravel(), [1.0, 3.0])
         # iterate moved to 0; sampling k=1 stores grad_1(0) = 0 - (-1) = 1
         lambda_saga_step(state, tiny_quadratic, 1.0, gamma=0.5, k=1)
-        assert state.table.rows[1, 0] == 1.0
+        assert state.table.rows()[1, 0, 0] == 1.0
 
     def test_rejects_bad_lambda_and_index(self, tiny_quadratic):
         state = init_state(tiny_quadratic, np.array([2.0]))
@@ -167,23 +195,24 @@ class TestDiagnostics:
         assert snap.t_n >= snap.v_n >= 0.0
         assert snap.a_n >= 0.0 and snap.tau2 >= 0.0
 
-    def test_theta_star_value(self, tiny_quadratic):
-        x_star = tiny_quadratic.reference_minimizer()
-        assert theta_star(tiny_quadratic, x_star) == 1.0  # ((-1)^2 + 1^2) / 2
-
 
 class TestConditionalStepExpectation:
-    def test_martingale_mean_exactly_zero_at_random_states(self):
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_expected_step_is_the_gradient_step(self, lam):
         problem = random_quadratic(30, 4, seed=3)
         x_star = problem.reference_minimizer()
         rng = np.random.default_rng(4)
         for _ in range(100):
-            state = init_state(problem, rng.standard_normal(4))
-            # scramble the table so states are generic
-            for _ in range(17):
-                state.table.update(int(rng.integers(30)), rng.standard_normal(4))
-            _, martingale = conditional_step_expectation(state, problem, x_star)
-            assert np.all(martingale == 0.0)
+            state = scrambled_state(problem, rng, 17)
+            gamma = rng.random()
+            x = state.iterate.copy()
+            expected_x, _ = conditional_step_expectation(
+                state, problem, lam, gamma, x_star
+            )
+            # The table terms average out: E[X_{n+1}] = X_n - gamma grad f(X_n).
+            target = x - gamma * problem.full_gradient(x)
+            assert np.abs(expected_x - target).max() <= 1e-12
+            assert np.array_equal(state.iterate, x) and state.n == 18
 
     def test_a_recursion_matches_closed_form(self):
         problem = random_quadratic(25, 3, seed=5)
@@ -191,11 +220,11 @@ class TestConditionalStepExpectation:
         rng = np.random.default_rng(6)
         n = problem.n_components
         for _ in range(100):
-            state = init_state(problem, rng.standard_normal(3))
-            for _ in range(11):
-                state.table.update(int(rng.integers(n)), rng.standard_normal(3))
+            state = scrambled_state(problem, rng, 11)
             snap = diagnostics(state, problem, x_star)
-            expected_a, _ = conditional_step_expectation(state, problem, x_star)
+            _, expected_a = conditional_step_expectation(
+                state, problem, rng.random(), rng.random(), x_star
+            )
             closed = snap.tau2 / n + (1 - 1 / n) * snap.a_n
             assert abs(expected_a - closed) <= 1e-12
 
@@ -205,7 +234,8 @@ class TestConditionalStepExpectation:
         state = init_state(problem, x_star)
         state.iterate = np.array([3.0, -1.0])
         snap = diagnostics(state, problem, x_star)
-        expected_a, _ = conditional_step_expectation(state, problem, x_star)
+        _, expected_a = conditional_step_expectation(state, problem, 0.5, 0.1,
+                                                     x_star)
         assert snap.a_n == 0.0
         assert expected_a == pytest.approx(snap.tau2 / problem.n_components)
 
@@ -296,14 +326,14 @@ class TestRun:
 
     def test_error_wrapped_with_iteration(self):
         class Broken(QuadraticProblem):
-            def component_gradient(self, k, x):
+            def component_gradients(self, ks, xs):
                 if getattr(self, "_calls", 0) >= 55:
                     raise FloatingPointError("boom")
                 self._calls = getattr(self, "_calls", 0) + 1
-                return super().component_gradient(k, x)
+                return super().component_gradients(ks, xs)
 
         problem = Broken(np.random.default_rng(0).standard_normal((5, 2)))
-        with pytest.raises(RunError, match="iteration"):
+        with pytest.raises(RunError, match="iteration n=56: boom"):
             run(problem, 0.0, StepSchedule(1.0, 1.0), 100, seed=0, diag_every=10)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lambda_saga import (
     FiniteSumProblem,
+    QuadraticProblem,
     RunError,
     StepSchedule,
     derive_seeds,
@@ -14,7 +15,22 @@ from lambda_saga import (
     run,
     run_ensemble,
 )
-from lambda_saga.ensembles import _scalar_table_mean, _table_mean
+from lambda_saga.engine import _scalar_table_mean, _table_mean
+
+
+class BrokenAfter(QuadraticProblem):
+    """A quadratic whose batched gradient hook raises from its call number
+    ``calls + 1`` on, that is at the state counter n = calls + 1."""
+
+    def __init__(self, calls):
+        super().__init__(np.random.default_rng(0).standard_normal((5, 2)))
+        self.calls = calls
+
+    def component_gradients(self, ks, xs):
+        if self.calls == 0:
+            raise FloatingPointError("boom")
+        self.calls -= 1
+        return super().component_gradients(ks, xs)
 
 
 class TestReplicationSemantics:
@@ -33,8 +49,7 @@ class TestReplicationSemantics:
         result = run_ensemble(problem, 0.5, schedule, 500, 3, base_seed=7)
         for m, seed in enumerate(derive_seeds(7, 3)):
             trace = run(problem, 0.5, schedule, 500, seed=seed, diag_every=10**9)
-            assert np.allclose(result.final_iterates[m], trace.final_iterate,
-                               rtol=1e-12, atol=1e-14)
+            assert_same_bits(result.final_iterates[m], trace.final_iterate)
 
     def test_same_base_seed_reproduces(self):
         problem = random_quadratic(10, 2, seed=3)
@@ -97,6 +112,12 @@ class TestReplicationSemantics:
             run_ensemble(random_quadratic(10, 2, 1), 0.5,
                          StepSchedule(1e6, 0.51), 200, 4, base_seed=3,
                          workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_step_error_wrapped_with_iteration(self, workers):
+        with pytest.raises(RunError, match=r"step failed at iteration n=56: boom"):
+            run_ensemble(BrokenAfter(55), 0.0, StepSchedule(1.0, 1.0), 100, 4,
+                         base_seed=0, workers=workers)
 
 
 @settings(deadline=None, max_examples=20)

@@ -45,6 +45,17 @@ class TestNormPowerInequality:
         assert slack == pytest.approx(2.0 * nb4)  # RHS = 3||b||^4, LHS = ||b||^4
 
     @pytest.mark.parametrize("p", [2, 4])
+    def test_stacked_pairs_match_single_pairs(self, p):
+        rng = np.random.default_rng(7 + p)
+        a = rng.standard_normal((50, 3))
+        b = rng.standard_normal((50, 3))
+        holds, slack = check_norm_power_inequality(a, b, p)
+        assert holds.shape == slack.shape == (50,)
+        for i in range(50):
+            one = check_norm_power_inequality(a[i], b[i], p)
+            assert one == (bool(holds[i]), float(slack[i]))
+
+    @pytest.mark.parametrize("p", [2, 4])
     @pytest.mark.parametrize("d", [1, 3, 10])
     def test_bulk_random_pairs(self, p, d):
         rng = np.random.default_rng(1000 + 10 * p + d)
