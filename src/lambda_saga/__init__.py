@@ -60,7 +60,6 @@ from .problems import (
     QuadraticProblem,
     check_assumptions,
     lipschitz_constant_p,
-    logistic_hessian,
     random_logistic,
     random_quadratic,
     solve_minimizer,
@@ -112,7 +111,6 @@ __all__ = [
     "lambda_saga_step",
     "lipschitz_constant_p",
     "load_dataset",
-    "logistic_hessian",
     "min_eigenvalue",
     "quadrature_covariance",
     "random_logistic",

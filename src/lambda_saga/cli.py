@@ -62,6 +62,7 @@ _RUN_DEFAULTS = {
     "checkpoints": None,
     "epoch_size": None,
     "dataset": None,
+    "label_rule": None,
     "format": "dense-csv",
     "scale": None,
     "label_column": 0,
@@ -87,6 +88,9 @@ def _load_config(args) -> dict:
         # A metadata.json written by a previous run is accepted directly.
         if "config" in file_cfg and "version" in file_cfg:
             file_cfg = file_cfg["config"]
+        unknown = sorted(set(file_cfg) - set(_RUN_DEFAULTS))
+        if unknown:
+            raise CliError(f"unknown config key(s) in {path}: {unknown}")
         config.update(file_cfg)
     # Every option named like a config key overrides it when given.
     for key, value in vars(args).items():
@@ -98,6 +102,13 @@ def _load_config(args) -> dict:
         except json.JSONDecodeError as exc:
             raise CliError(f"--problem must be a JSON object: {exc}") from None
     return config
+
+
+# The keys a synthetic problem spec may hold, per problem type.
+_PROBLEM_KEYS = {
+    "quadratic": {"type", "n", "d", "seed", "scale"},
+    "logistic": {"type", "n", "d", "seed", "feature_scale", "parameter_scale"},
+}
 
 
 def make_problem(config: dict):
@@ -121,19 +132,25 @@ def make_problem(config: dict):
             scale=config.get("scale"),
         )
     spec = config.get("problem") or {}
+    if not isinstance(spec, dict):
+        raise CliError(f"the problem spec must be a JSON object, got {spec!r}")
     kind = spec.get("type", "quadratic")
+    if kind not in _PROBLEM_KEYS:
+        raise CliError(f"unknown problem type {kind!r}")
+    unknown = sorted(set(spec) - _PROBLEM_KEYS[kind])
+    if unknown:
+        raise CliError(f"unknown key(s) in the {kind} problem spec: {unknown} "
+                       f"(known: {sorted(_PROBLEM_KEYS[kind])})")
     n = int(spec.get("n", 50))
     d = int(spec.get("d", 5))
     seed = int(spec.get("seed", 7))
     if kind == "quadratic":
         return random_quadratic(n, d, seed, scale=float(spec.get("scale", 1.0)))
-    if kind == "logistic":
-        return random_logistic(
-            n, d, seed,
-            feature_scale=float(spec.get("feature_scale", 3.0)),
-            parameter_scale=float(spec.get("parameter_scale", 0.3)),
-        )
-    raise CliError(f"unknown problem type {kind!r}")
+    return random_logistic(
+        n, d, seed,
+        feature_scale=float(spec.get("feature_scale", 3.0)),
+        parameter_scale=float(spec.get("parameter_scale", 0.3)),
+    )
 
 
 def _schedule(config) -> StepSchedule:

@@ -19,8 +19,9 @@ every N steps (resync) to keep floating-point drift bounded.
 
 The step is written once, in ``_steps``, for M replications at a time: an
 :class:`OptimizerState` holds (M, d) iterates and table means and the
-gradient tables of all M replications, and ``_advance`` runs the steps one
-sampler block at a time.  A scalar :func:`run` is the case M = 1; the Monte-Carlo ensembles of
+gradient tables of all M replications, and ``_advance`` runs the steps in
+blocks of 4,096, each sampler drawing a block's indices in one call.  A
+scalar :func:`run` is the case M = 1; the Monte-Carlo ensembles of
 :mod:`lambda_saga.ensembles` run the same kernel with M replications, so a
 replication of an ensemble is bit for bit the scalar run with its seed.
 
@@ -79,7 +80,16 @@ class RunError(RuntimeError):
     pass
 
 
-_SAMPLER_BLOCK = 4096
+# Steps per block of ``_advance``, which draws the indices, makes the step
+# sizes and checks the iterates for finiteness once per block.
+_STEP_BLOCK = 4096
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as a Philox key, or a ValueError naming it."""
+    if not 0 <= int(seed) < 2**128:
+        raise ValueError(f"seed {seed} must lie in [0, 2**128)")
+    return int(seed)
 
 
 class IndexSampler:
@@ -89,33 +99,22 @@ class IndexSampler:
     function of position only: it does not depend on how the draws are
     partitioned into ``take`` calls, so independent consumers (the engine,
     ensemble workers, reference implementations in tests) can replay the
-    exact same sampling stream.
+    exact same sampling stream.  That is numpy's doing, not a buffer here:
+    ``Generator.integers`` draws an index below 2**32 from a 32-bit half of
+    a 64-bit Philox output and Philox keeps the unused half for its next
+    call, while larger indices take whole outputs.
     """
 
     def __init__(self, seed: int, n_components: int):
         if n_components < 1:
             raise ValueError("n_components must be positive")
-        self.seed = int(seed)
+        self.seed = _check_seed(seed)
         self.n_components = int(n_components)
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
-        self._buf = np.empty(0, dtype=np.int64)
-        self._pos = 0
 
     def take(self, count: int) -> np.ndarray:
         """Next ``count`` indices in [0, n_components)."""
-        out = np.empty(count, dtype=np.int64)
-        filled = 0
-        while filled < count:
-            if self._pos == len(self._buf):
-                self._buf = self._gen.integers(
-                    0, self.n_components, size=_SAMPLER_BLOCK
-                )
-                self._pos = 0
-            chunk = min(count - filled, len(self._buf) - self._pos)
-            out[filled : filled + chunk] = self._buf[self._pos : self._pos + chunk]
-            self._pos += chunk
-            filled += chunk
-        return out
+        return self._gen.integers(0, self.n_components, size=count)
 
 
 # Distinct Philox key stream for initial points so initialization never
@@ -125,7 +124,7 @@ _INIT_STREAM_SALT = 0x9E3779B97F4A7C15
 
 def gaussian_initial_point(dim: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """Seeded Gaussian initial point, decoupled from the sampling stream."""
-    gen = np.random.Generator(np.random.Philox(key=int(seed) ^ _INIT_STREAM_SALT))
+    gen = np.random.Generator(np.random.Philox(key=_check_seed(seed) ^ _INIT_STREAM_SALT))
     return scale * gen.standard_normal(dim)
 
 
@@ -394,16 +393,17 @@ _SAMPLER_TILE = 64
 def _advance(state, problem, lam, schedule, n_iters, snapshot_at, record, name):
     """Run ``n_iters`` steps, replication m drawing from ``state.samplers[m]``,
     with step size gamma(n) at state counter n; ``snapshot_at`` and ``record``
-    go to ``_steps``.  Each sampler block ends with a finiteness check, which
-    names the first replication r with a non-finite iterate as ``name(r)``.
+    go to ``_steps``.  Each block of ``_STEP_BLOCK`` steps ends with a
+    finiteness check, which names the first replication r with a non-finite
+    iterate as ``name(r)``.
     """
     m = len(state.x)
     samplers = state.samplers
-    ks = np.empty((min(_SAMPLER_BLOCK, n_iters), m), dtype=np.int64)
+    ks = np.empty((min(_STEP_BLOCK, n_iters), m), dtype=np.int64)
     tile = np.empty((min(_SAMPLER_TILE, m), ks.shape[0]), dtype=np.int64)
     done = 0
     while done < n_iters:
-        block = min(_SAMPLER_BLOCK, n_iters - done)
+        block = min(_STEP_BLOCK, n_iters - done)
         for first in range(0, m, _SAMPLER_TILE):
             group = samplers[first:first + _SAMPLER_TILE]
             for i, sampler in enumerate(group):
@@ -475,17 +475,22 @@ def _ref_quantities(problem, x_ref):
 def diagnostics(
     state: OptimizerState,
     problem: FiniteSumProblem,
-    x_ref: np.ndarray,
+    x_ref: np.ndarray | None,
     schedule: StepSchedule | None = None,
 ) -> DiagnosticsSnapshot:
-    """Full diagnostics snapshot of a scalar ``state`` (replication 0)
-    relative to reference point x_ref.
+    """Diagnostics snapshot of a scalar ``state`` (replication 0) relative
+    to reference point x_ref.
 
     ``tau2`` is recomputed by a fresh pass over all components at the current
     iterate; ``a_n`` needs only the stored table rows.  ``t_n`` uses the step
     gamma(n - 1) and needs a schedule; at the initial state n = 1, where no
-    previous step exists, gamma(1) stands in.
+    previous step exists, gamma(1) stands in.  Without ``x_ref`` only
+    ``n`` and ``grad_eval_norm`` are recorded and the other fields are None.
     """
+    grad_eval_norm = float(np.linalg.norm(state.mean[0]))
+    if x_ref is None:
+        return DiagnosticsSnapshot(state.n, None, None, None, None,
+                                   grad_eval_norm, None)
     table_ref, f_ref = _ref_quantities(problem, x_ref)
     x = state.iterate
     diff = x - np.asarray(x_ref, dtype=float)
@@ -503,20 +508,8 @@ def diagnostics(
         a_n=a_n,
         tau2=tau2,
         t_n=t_n,
-        grad_eval_norm=float(np.linalg.norm(state.mean[0])),
+        grad_eval_norm=grad_eval_norm,
         value_gap=float(problem.value(x)) - f_ref,
-    )
-
-
-def _partial_snapshot(state) -> DiagnosticsSnapshot:
-    return DiagnosticsSnapshot(
-        n=state.n,
-        v_n=None,
-        a_n=None,
-        tau2=None,
-        t_n=None,
-        grad_eval_norm=float(np.linalg.norm(state.mean[0])),
-        value_gap=None,
     )
 
 
@@ -573,12 +566,6 @@ def run(
         x0 = np.zeros(problem.dim)
     state = init_state(problem, x0, x1, seed=seed)
     start = time.perf_counter()
-
-    def snap(state):
-        if x_ref is not None:
-            return diagnostics(state, problem, x_ref, schedule)
-        return _partial_snapshot(state)
-
     trace = RunTrace(
         schedule=schedule,
         lam=lam,
@@ -587,15 +574,18 @@ def run(
         x0=np.asarray(x0, dtype=float).copy(),
         x1=state.iterate.copy(),
     )
-    trace.snapshots.append(snap(state))
+
+    def record(state):
+        trace.snapshots.append(diagnostics(state, problem, x_ref, schedule))
+
+    record(state)
     _advance(
         state, problem, lam, schedule, n_iters,
-        range(diag_every, n_iters + 2, diag_every),
-        lambda state: trace.snapshots.append(snap(state)),
+        range(diag_every, n_iters + 2, diag_every), record,
         lambda r: f"run with seed {seed}",
     )
     if trace.snapshots[-1].n != state.n:
-        trace.snapshots.append(snap(state))
+        record(state)
     trace.final_iterate = state.iterate.copy()
     trace.wall_time_s = time.perf_counter() - start
     return trace

@@ -126,8 +126,6 @@ def _concat_results(parts: list[EnsembleResult]) -> EnsembleResult:
     )
 
 
-
-
 def _run_chunk(
     problem,
     lam,

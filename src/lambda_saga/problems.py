@@ -251,7 +251,12 @@ class LogisticProblem(FiniteSumProblem):
         return np.mean(np.logaddexp(0.0, t) - self.labels[None, :] * t, axis=1)
 
     def hessian(self, x):
-        return logistic_hessian(self, x)
+        """Hessian (1/N) * sum_k p_k(x) (1 - p_k(x)) w_k w_k^T, symmetrized."""
+        x = self._check_dim(x)
+        p = expit(self.features @ x)
+        weighted = self.features * (p * (1.0 - p))[:, None]
+        h = weighted.T @ self.features / self.n_components
+        return (h + h.T) / 2.0
 
     def reference_minimizer(self):
         # Lazy Newton solve; the cache is a pure function of the immutable data.
@@ -266,15 +271,6 @@ class LogisticProblem(FiniteSumProblem):
             "d": self.dim,
             **self.metadata,
         }
-
-
-def logistic_hessian(problem: LogisticProblem, x: np.ndarray) -> np.ndarray:
-    """Hessian (1/N) * sum_k p_k(x) (1 - p_k(x)) w_k w_k^T, symmetrized."""
-    x = problem._check_dim(x)
-    p = expit(problem.features @ x)
-    weighted = problem.features * (p * (1.0 - p))[:, None]
-    h = weighted.T @ problem.features / problem.n_components
-    return (h + h.T) / 2.0
 
 
 def lipschitz_constant_p(problem: FiniteSumProblem, p: int = 1) -> float:

@@ -326,11 +326,11 @@ def test_criterion_09_inequality_oracles():
     violations = 0
     for p in (2, 4):
         for d in (1, 3, 10):
-            for _ in range(100_000 // 3):
-                a = rng.standard_normal(d)
-                b = rng.standard_normal(d)
-                holds, _ = check_norm_power_inequality(a, b, p)
-                violations += 0 if holds else 1
+            # Pair i is (pairs[i, 0], pairs[i, 1]): the draws, in their
+            # order, of 100_000 // 3 calls drawing a and then b.
+            pairs = rng.standard_normal((100_000 // 3, 2, d))
+            holds, _ = check_norm_power_inequality(pairs[:, 0], pairs[:, 1], p)
+            violations += int((~holds).sum())
 
     trace = recursion_bound_trace(a=1.0, b=1.0, alpha=1.0, beta=1.5, z1=1.0,
                                   n_max=100_000)

@@ -251,3 +251,50 @@ class TestLemmasCommand:
         code = main(["lemmas", "--max-p", "3", "--out-dir", str(tmp_path)])
         assert code != 0
         assert "even" in capsys.readouterr().err
+
+
+class TestInvalidInputs:
+    def test_unknown_config_key_named(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"iter": 50}')
+        code = main(["run", "--config", str(config), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "unknown config key(s)" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("spec, key", [
+        ('{"type": "quadratic", "n": 10, "dim": 3}', "'dim'"),
+        ('{"type": "logistic", "n": 10, "scale": 2.0}', "'scale'"),
+    ])
+    def test_unknown_problem_key_named(self, tmp_path, capsys, spec, key):
+        code = main(["run", "--problem", spec, "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown key(s) in the" in err and key in err
+
+    def test_negative_seed_named(self, tmp_path, capsys):
+        code = main([
+            "clt", "--problem", QUAD, "--iters", "10", "--reps", "2",
+            "--seed", "-1", "--out-dir", str(tmp_path),
+        ])
+        assert code == 2
+        assert "error: seed -1 must lie in [0, 2**128)" in capsys.readouterr().err
+
+    def test_label_rule_is_a_config_key(self, tmp_path):
+        # Labels -1 and 1 lie outside the default digit split.
+        data = tmp_path / "tiny.csv"
+        rng = np.random.default_rng(1)
+        data.write_text("".join(
+            f"{label},{rng.standard_normal()!r},{rng.standard_normal()!r}\n"
+            for label in [-1, 1] * 10
+        ))
+        rule = {"negative": [-1], "positive": [1]}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dataset": str(data), "label_rule": rule}))
+        code = main([
+            "run", "--config", str(config), "--lambda", "1", "--iters", "200",
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        meta = json.loads((latest_output(tmp_path, "run") / "metadata.json").read_text())
+        assert meta["config"]["label_rule"] == rule

@@ -128,7 +128,7 @@ class TestReplicationSemantics:
     lam=st.floats(0.0, 1.0),
     c=st.floats(0.1, 1.0),
     alpha=st.floats(0.5, 1.0, exclude_min=True),
-    # Across the 4096-draw sampler block, so that runs reach a second and
+    # Across the 4096-step kernel block, so that runs reach a second and
     # partial block, and mostly off multiples of N.
     n_iters=st.integers(3900, 4400),
     checkpoint_at=st.floats(0.0, 1.0),
@@ -203,7 +203,7 @@ class DenseRows(FiniteSumProblem):
     m=st.integers(1, 6),
     lam=st.floats(0.0, 1.0),
     alpha=st.floats(0.5, 1.0, exclude_min=True),
-    # Across the 4096-draw sampler block and past many resyncs.
+    # Across the 4096-step kernel block and past many resyncs.
     n_iters=st.integers(3900, 4400),
     checkpoint_at=st.floats(0.0, 1.0),
     x0_scale=st.floats(0.0, 1.0),
@@ -272,6 +272,21 @@ def test_logistic_ensemble_stores_no_dense_table():
     finally:
         tracemalloc.stop()
     assert peak < dense_table_bytes / 4
+
+
+def test_samplers_hold_no_draws():
+    # The kernel's (n, M) int64 index block is the largest array of a run
+    # this short; samplers that kept a block of draws each would double it.
+    problem = random_quadratic(20, 2, 1)
+    m, n = 500, 4096
+    index_block_bytes = n * m * 8
+    tracemalloc.start()
+    try:
+        run_ensemble(problem, 0.5, StepSchedule(1.0, 1.0), n, m, base_seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * index_block_bytes
 
 
 class TestConvergenceProxy:

@@ -10,7 +10,6 @@ from lambda_saga import (
     QuadraticProblem,
     check_assumptions,
     lipschitz_constant_p,
-    logistic_hessian,
     random_logistic,
     random_quadratic,
     solve_minimizer,
@@ -138,12 +137,12 @@ class TestQuadratic:
 class TestLogistic:
     def test_hessian_single_feature_at_zero(self):
         problem = LogisticProblem(np.array([[2.0, 0.0]]), np.array([1.0]))
-        hess = logistic_hessian(problem, np.zeros(2))
+        hess = problem.hessian(np.zeros(2))
         assert np.allclose(hess, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_hessian_two_unit_features(self):
         problem = LogisticProblem(np.eye(2), np.array([0.0, 1.0]))
-        hess = logistic_hessian(problem, np.zeros(2))
+        hess = problem.hessian(np.zeros(2))
         assert np.allclose(hess, 0.125 * np.eye(2))
 
     def test_hessian_matches_gradient_jacobian(self, logit):
@@ -157,7 +156,7 @@ class TestLogistic:
             jac[:, i] = (logit.full_gradient(x + e) - logit.full_gradient(x - e)) / (
                 2 * h
             )
-        assert np.allclose(logistic_hessian(logit, x), jac, rtol=1e-5, atol=1e-7)
+        assert np.allclose(logit.hessian(x), jac, rtol=1e-5, atol=1e-7)
 
     def test_overflow_safe_evaluation(self):
         problem = LogisticProblem(np.array([[1000.0]]), np.array([0.0]))
