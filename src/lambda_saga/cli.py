@@ -9,17 +9,20 @@ Subcommands::
     lemmas  inequality-oracle table and randomized checks
 
 Every invocation writes ``<out-dir>/<subcommand>/<timestamp>/`` containing
-``metadata.json`` (the full effective config, package version, and timing),
-one or more CSVs, and ``summary.json``.  Outputs other than metadata.json
-are deterministic functions of the config, so re-running a config reproduces
-them byte for byte.  Configs come from an optional JSON file (``--config``)
-with individual flags taking precedence.
+``metadata.json`` (the config keys the subcommand reads, package version,
+and timing), one or more CSVs, and ``summary.json``.  Outputs other than
+metadata.json are deterministic functions of the config, so re-running a
+config reproduces them byte for byte.  Configs come from an optional JSON
+file (``--config``) with individual flags taking precedence; a subcommand
+has flags only for the keys it reads.  A failed command leaves no output
+directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 import time
 from datetime import datetime, timezone
@@ -29,10 +32,14 @@ import numpy as np
 
 from . import __version__
 from .datasets import DIGIT_SPLIT, LabelRule, load_dataset
-from .engine import gaussian_initial_point, run, write_trace_csv, trace_metadata
+from .engine import (
+    RunError, gaussian_initial_point, run, write_trace_csv, trace_metadata,
+)
+from .ensembles import run_ensemble
 from .inequalities import check_norm_power_inequality, cp_dp, recursion_bound_trace
-from .montecarlo import clt_ensemble, rate_ensemble
+from .montecarlo import check_rate_inputs, clt_ensemble, rate_estimate
 from .problems import (
+    ProblemError,
     check_assumptions,
     random_logistic,
     random_quadratic,
@@ -74,8 +81,27 @@ _RUN_DEFAULTS = {
     "init_scale": 1.0,
 }
 
+_PROBLEM_CONFIG = ("problem", "dataset", "label_rule", "format", "scale",
+                   "label_column")
+
+# The config keys each subcommand reads.  Its parser has the flags of these
+# keys only, and its metadata.json records these keys only.
+_COMMAND_KEYS = {
+    "run": ("lambdas", "c", "alpha", "iters", "seed", "diag_every", "init",
+            "init_scale", *_PROBLEM_CONFIG),
+    "clt": ("lambdas", "c", "alpha", "iters", "reps", "seed", "workers",
+            "dump_replications", *_PROBLEM_CONFIG),
+    "rates": ("lambdas", "c", "alpha", "reps", "seed", "workers", "p_list", "mu",
+              "checkpoints", "epoch_size", *_PROBLEM_CONFIG),
+    "check": ("p_list", "sample_count", "seed", *_PROBLEM_CONFIG),
+    "lemmas": ("max_p", "pairs", "seed"),
+}
+
 
 def _load_config(args) -> dict:
+    """The keys ``args.subcommand`` reads: defaults, then the config file
+    (which may hold any known key, so one file serves several subcommands),
+    then flags."""
     config = dict(_RUN_DEFAULTS)
     if args.config:
         path = Path(args.config)
@@ -96,12 +122,7 @@ def _load_config(args) -> dict:
     for key, value in vars(args).items():
         if key in _RUN_DEFAULTS and value is not None:
             config[key] = value
-    if args.problem is not None:
-        try:
-            config["problem"] = json.loads(args.problem)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"--problem must be a JSON object: {exc}") from None
-    return config
+    return {key: config[key] for key in _COMMAND_KEYS[args.subcommand]}
 
 
 # The keys a synthetic problem spec may hold, per problem type.
@@ -113,25 +134,18 @@ _PROBLEM_KEYS = {
 
 def make_problem(config: dict):
     """Problem from a config: an explicit dataset wins over a synthetic spec."""
-    if config.get("dataset"):
+    if config["dataset"]:
         path = Path(config["dataset"])
         if not path.exists():
             raise CliError(f"file not found: {path}")
-        rule = DIGIT_SPLIT
-        rule_spec = config.get("label_rule")
-        if isinstance(rule_spec, dict):
-            rule = LabelRule(
-                negative=frozenset(float(v) for v in rule_spec["negative"]),
-                positive=frozenset(float(v) for v in rule_spec["positive"]),
-            )
         return load_dataset(
             path,
-            format=config.get("format", "dense-csv"),
-            label_rule=rule,
-            label_column=int(config.get("label_column", 0)),
-            scale=config.get("scale"),
+            format=config["format"],
+            label_rule=_label_rule(config["label_rule"]),
+            label_column=int(config["label_column"]),
+            scale=config["scale"],
         )
-    spec = config.get("problem") or {}
+    spec = config["problem"] or {}
     if not isinstance(spec, dict):
         raise CliError(f"the problem spec must be a JSON object, got {spec!r}")
     kind = spec.get("type", "quadratic")
@@ -153,18 +167,17 @@ def make_problem(config: dict):
     )
 
 
-def _schedule(config) -> StepSchedule:
+def _label_rule(spec) -> LabelRule:
+    if spec is None:
+        return DIGIT_SPLIT
+    keys = {"negative", "positive"}
+    if not isinstance(spec, dict) or set(spec) != keys:
+        raise CliError("label_rule must be a JSON object with the keys 'negative' "
+                       f"and 'positive' only, got {spec!r}")
     try:
-        return StepSchedule(float(config["c"]), float(config["alpha"]))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
-def _out_dir(args, subcommand: str) -> Path:
-    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
-    out = Path(args.out_dir) / subcommand / stamp
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        return LabelRule(**{k: frozenset(float(v) for v in spec[k]) for k in keys})
+    except (TypeError, ValueError):
+        raise CliError(f"label_rule values must be lists of labels: {spec!r}") from None
 
 
 def _write_json(path: Path, payload: dict):
@@ -173,45 +186,14 @@ def _write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
-def _finish(
-    out: Path,
-    config: dict,
-    summary: dict,
-    started: float,
-    timings: dict | None = None,
-) -> None:
-    """Write summary.json and metadata.json; ``timings`` (seconds, varying
-    from run to run) go to metadata.json only."""
-    _write_json(out / "summary.json", summary)
-    _write_json(
-        out / "metadata.json",
-        {
-            "config": config,
-            "version": __version__,
-            "wall_time_s": time.perf_counter() - started,
-            **(timings or {}),
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-        },
-    )
-    print(f"wrote {out}")
-
-
-def _checkpoints(config, default_span=(1000, 100_000), count=7) -> list[int]:
-    raw = config.get("checkpoints")
-    if raw:
-        if isinstance(raw, str):
-            raw = [int(v) for v in raw.split(",")]
-        points = [int(v) for v in raw]
-    else:
-        points = sorted(
-            {
-                int(round(v))
-                for v in np.logspace(
-                    np.log10(default_span[0]), np.log10(default_span[1]), count
-                )
-            }
-        )
-    epoch = config.get("epoch_size")
+def _checkpoints(config) -> list[int]:
+    """The rates checkpoints: given, or 7 log-spaced from 1e3 to 1e5; times
+    the epoch size when one is set."""
+    raw = config["checkpoints"]
+    if raw and isinstance(raw, str):
+        raw = raw.split(",")
+    points = [int(v) for v in raw or np.round(np.logspace(3, 5, 7))]
+    epoch = config["epoch_size"]
     if epoch:
         points = [int(p) * int(epoch) for p in points]
     return sorted(set(points))
@@ -221,22 +203,19 @@ def _checkpoints(config, default_span=(1000, 100_000), count=7) -> list[int]:
 
 
 def _initial_point(config, problem):
-    mode = config.get("init", "zeros")
+    mode = config["init"]
     if mode == "zeros":
         return None  # engine default
     if mode == "gaussian":
         return gaussian_initial_point(
-            problem.dim, int(config["seed"]), float(config.get("init_scale", 1.0))
+            problem.dim, int(config["seed"]), float(config["init_scale"])
         )
     raise CliError(f"unknown init mode {mode!r} (choose zeros or gaussian)")
 
 
-def cmd_run(args) -> int:
-    started = time.perf_counter()
-    config = _load_config(args)
+def cmd_run(config, out: Path):
     problem = make_problem(config)
-    schedule = _schedule(config)
-    out = _out_dir(args, "run")
+    schedule = StepSchedule(float(config["c"]), float(config["alpha"]))
 
     x_ref = None
     try:
@@ -280,20 +259,16 @@ def cmd_run(args) -> int:
             for a, b in zip(lam_order, lam_order[1:])
         ),
     }
-    _finish(out, config, summary, started, {"run_seconds": run_seconds})
-    return 0
+    return summary, {"run_seconds": run_seconds}
 
 
-def cmd_clt(args) -> int:
-    started = time.perf_counter()
-    config = _load_config(args)
+def cmd_clt(config, out: Path):
     if float(config["c"]) != 1.0 or float(config["alpha"]) != 1.0:
         raise CliError(
             "central-limit ensembles require the step 1/n: set c=1 and alpha=1 "
             "(the normality result covers no other schedule)"
         )
     problem = make_problem(config)
-    out = _out_dir(args, "clt")
     x_ref = solve_minimizer(problem)
 
     summaries = {}
@@ -313,7 +288,7 @@ def cmd_clt(args) -> int:
         )
         summaries[str(lam)] = summary.to_dict()
         sigma2[float(lam)] = summary.sigma2_scalar
-        if config.get("dump_replications"):
+        if config["dump_replications"]:
             np.savetxt(
                 out / f"scaled_errors_lambda_{lam}.csv",
                 scaled,
@@ -341,42 +316,34 @@ def cmd_clt(args) -> int:
         "per_lambda": summaries,
         "scaling_law": scaling_rows,
     }
-    _finish(out, config, summary, started)
-    return 0
+    return summary, {}
 
 
-def cmd_rates(args) -> int:
-    started = time.perf_counter()
-    config = _load_config(args)
+def cmd_rates(config, out: Path):
     problem = make_problem(config)
-    schedule = _schedule(config)
-    out = _out_dir(args, "rates")
+    schedule = StepSchedule(float(config["c"]), float(config["alpha"]))
     x_ref = solve_minimizer(problem)
-    checkpoints = _checkpoints(config)
 
-    mu = config.get("mu")
+    mu = config["mu"]
     if mu is None and problem.describe().get("type") == "quadratic":
         mu = 1.0  # exact for the quadratic family
     if mu is None:
         raise CliError("rates need --mu for problems without a known secant constant")
+    p_list = [int(p) for p in config["p_list"]]
+    checkpoints = check_rate_inputs(_checkpoints(config), p_list, float(mu))
 
     estimates = {}
     rows = ["lambda,p,n,moment,value_gap_moment"]
     had_warnings = False
     for lam in config["lambdas"]:
-        for p in config["p_list"]:
-            est = rate_ensemble(
-                problem,
-                float(lam),
-                schedule,
-                int(p),
-                tuple(checkpoints),
-                int(config["reps"]),
-                int(config["seed"]),
-                x_ref,
-                mu=float(mu),
-                workers=int(config["workers"]),
-            )
+        # One ensemble per lambda serves every moment order.
+        result = run_ensemble(
+            problem, float(lam), schedule, checkpoints[-1] - 1,
+            int(config["reps"]), int(config["seed"]), x_ref=x_ref,
+            checkpoints=checkpoints, workers=int(config["workers"]),
+        )
+        for p in p_list:
+            est = rate_estimate(result, float(lam), schedule, p, float(mu))
             record = estimates[f"lambda={lam},p={p}"] = est.to_dict()
             for n, m, g in zip(record["checkpoints"], record["moments"],
                                record["value_gap_moments"]):
@@ -397,16 +364,11 @@ def cmd_rates(args) -> int:
         "estimates": estimates,
         "had_warnings": had_warnings,
     }
-    _finish(out, config, summary, started)
-    return 0
+    return summary, {}
 
 
-def cmd_check(args) -> int:
-    started = time.perf_counter()
-    config = _load_config(args)
+def cmd_check(config, out: Path):
     problem = make_problem(config)
-    out = _out_dir(args, "check")
-
     p_list = tuple(int(p) for p in config["p_list"])
     report = check_assumptions(
         problem,
@@ -420,23 +382,15 @@ def cmd_check(args) -> int:
     for name, ok in report.satisfied_flags.items():
         print(f"[check] {name}: {'ok' if ok else 'VIOLATED'}")
 
-    rows = ["quantity,value"]
-    rows.append(f"rho,{report.rho!r}")
-    rows.append(f"L,{report.L!r}")
-    rows.append(f"mu_estimate,{report.mu_estimate!r}")
-    for p in p_list:
-        rows.append(f"L_{p},{report.L_p[p]!r}")
+    rows = ["quantity,value", f"rho,{report.rho!r}", f"L,{report.L!r}",
+            f"mu_estimate,{report.mu_estimate!r}"]
+    rows += [f"L_{p},{report.L_p[p]!r}" for p in p_list]
     (out / "report.csv").write_text("\n".join(rows) + "\n")
 
-    summary = {"problem": problem.describe(), "report": report.to_dict()}
-    _finish(out, config, summary, started)
-    return 0
+    return {"problem": problem.describe(), "report": report.to_dict()}, {}
 
 
-def cmd_lemmas(args) -> int:
-    started = time.perf_counter()
-    config = _load_config(args)
-    out = _out_dir(args, "lemmas")
+def cmd_lemmas(config, out: Path):
     max_p = int(config["max_p"])
     if max_p < 2 or max_p % 2 != 0:
         raise CliError(f"max p must be a positive even integer, got {max_p}")
@@ -480,11 +434,54 @@ def cmd_lemmas(args) -> int:
         "recursion_bound": trace.to_dict(),
     }
     print(json.dumps(summary, sort_keys=True))
-    _finish(out, config, summary, started)
-    return 0
+    return summary, {}
 
 
 # -- argument parsing ----------------------------------------------------------
+
+
+def _json_arg(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"must be a JSON object: {exc}") from None
+
+
+# The flag of each config key that has one, with its options (label_rule,
+# label_column and dump_replications are set in a config file only).
+_FLAGS = {
+    "lambdas": ("--lambda", dict(type=float, action="append",
+                                 help="interpolation parameter in [0, 1]; repeatable")),
+    "c": ("--c", dict(type=float, help="step scale")),
+    "alpha": ("--alpha", dict(type=float, help="step decay exponent in (1/2, 1]")),
+    "iters": ("--iters", dict(type=int, help="iterations per run")),
+    "reps": ("--reps", dict(type=int, help="Monte-Carlo replications")),
+    "seed": ("--seed", dict(type=int, help="base seed")),
+    "diag_every": ("--diag-every", dict(type=int,
+                                        help="snapshot cadence in iterations")),
+    "dataset": ("--dataset", dict(help="path to a dataset file")),
+    "format": ("--format", dict(choices=["dense-csv", "svmlight"],
+                                help="dataset file format")),
+    "scale": ("--scale", dict(type=float, help="feature scaling factor")),
+    "problem": ("--problem", dict(type=_json_arg,
+                                  help="synthetic problem spec as JSON")),
+    "mu": ("--mu", dict(type=float, help="restricted secant constant")),
+    "checkpoints": ("--checkpoints",
+                    dict(help="comma-separated iteration checkpoints")),
+    "epoch_size": ("--epoch-size", dict(
+        type=int, help="multiply checkpoint values by this epoch length")),
+    "p_list": ("--p", dict(type=int, action="append", help="moment order; repeatable")),
+    "max_p": ("--max-p", dict(type=int,
+                              help="largest even order for the constants table")),
+    "pairs": ("--pairs", dict(type=int, help="random pairs for inequality checks")),
+    "sample_count": ("--sample-count", dict(
+        type=int, help="sample points for assumption probing")),
+    "init": ("--init", dict(choices=["zeros", "gaussian"],
+                            help="initial point: zero vector or seeded Gaussian")),
+    "init_scale": ("--init-scale", dict(
+        type=float, help="standard deviation of the Gaussian initial point")),
+    "workers": ("--workers", dict(type=int, help="parallel ensemble workers")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -493,66 +490,54 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Desk-scale experiments for the interpolated SGD/SAGA optimizer",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    handlers = dict(run=cmd_run, clt=cmd_clt, rates=cmd_rates, check=cmd_check,
+                    lemmas=cmd_lemmas)
+    for name, keys in _COMMAND_KEYS.items():
+        # Without abbreviations, a flag the subcommand does not read cannot
+        # pass as a prefix of one it does (--c of --config, --p of --pairs).
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--lambda", dest="lambdas", type=float, action="append",
-                       help="interpolation parameter in [0, 1]; repeatable")
-        p.add_argument("--c", type=float, help="step scale")
-        p.add_argument("--alpha", type=float, help="step decay exponent in (1/2, 1]")
-        p.add_argument("--iters", type=int, help="iterations per run")
-        p.add_argument("--reps", type=int, help="Monte-Carlo replications")
-        p.add_argument("--seed", type=int, help="base seed")
-        p.add_argument("--diag-every", dest="diag_every", type=int,
-                       help="snapshot cadence in iterations")
-        p.add_argument("--dataset", help="path to a dataset file")
-        p.add_argument("--format", choices=["dense-csv", "svmlight"],
-                       help="dataset file format")
-        p.add_argument("--scale", type=float, help="feature scaling factor")
-        p.add_argument("--problem", help="synthetic problem spec as JSON")
-        p.add_argument("--mu", type=float, help="restricted secant constant")
-        p.add_argument("--checkpoints", help="comma-separated iteration checkpoints")
-        p.add_argument("--epoch-size", dest="epoch_size", type=int,
-                       help="multiply checkpoint values by this epoch length")
-        p.add_argument("--p", dest="p_list", type=int, action="append",
-                       help="moment order; repeatable")
-        p.add_argument("--max-p", dest="max_p", type=int,
-                       help="largest even order for the constants table")
-        p.add_argument("--pairs", type=int, help="random pairs for inequality checks")
-        p.add_argument("--sample-count", dest="sample_count", type=int,
-                       help="sample points for assumption probing")
-        p.add_argument("--init", choices=["zeros", "gaussian"],
-                       help="initial point: zero vector or seeded Gaussian")
-        p.add_argument("--init-scale", dest="init_scale", type=float,
-                       help="standard deviation of the Gaussian initial point")
+        for key, (flag, options) in _FLAGS.items():
+            if key in keys:
+                p.add_argument(flag, dest=key, **options)
         p.add_argument("--out-dir", dest="out_dir", default="results",
                        help="output root directory")
-        p.add_argument("--workers", type=int, help="parallel ensemble workers")
-
-    for name, handler in (
-        ("run", cmd_run),
-        ("clt", cmd_clt),
-        ("rates", cmd_rates),
-        ("check", cmd_check),
-        ("lemmas", cmd_lemmas),
-    ):
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handlers[name])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    started = time.perf_counter()
+    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
+    out = Path(args.out_dir) / args.subcommand / stamp
+    # The command writes into a hidden sibling that becomes ``out`` only
+    # when it succeeds, so a failed command leaves no directory behind.
+    partial = out.with_name(f".{stamp}.partial")
     try:
-        return args.handler(args)
-    except CliError as exc:
+        config = _load_config(args)
+        partial.mkdir(parents=True)
+        try:
+            summary, timings = args.handler(config, partial)
+            _write_json(partial / "summary.json", summary)
+            # Timings (seconds, varying from run to run) go to metadata.json only.
+            _write_json(partial / "metadata.json", {
+                "config": config,
+                "version": __version__,
+                "wall_time_s": time.perf_counter() - started,
+                **timings,
+                "created_utc": datetime.now(timezone.utc).isoformat(),
+            })
+            partial.rename(out)
+        except BaseException:
+            shutil.rmtree(partial, ignore_errors=True)
+            raise
+    except (CliError, ValueError, OSError, RunError, ProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # Exit 2 for an invalid config or input, 1 for a run or problem that failed.
+        return 1 if isinstance(exc, (RunError, ProblemError)) else 2
+    print(f"wrote {out}")
+    return 0
 
 
 if __name__ == "__main__":

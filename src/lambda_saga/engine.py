@@ -411,7 +411,8 @@ def _advance(state, problem, lam, schedule, n_iters, snapshot_at, record, name):
             ks[:block, first:first + len(group)] = tile[:len(group), :block].T
         n_first = state.n
         gammas = schedule.gammas(n_first, n_first + block - 1).tolist()
-        _steps(state, problem, lam, gammas, ks[:block], snapshot_at, record)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            _steps(state, problem, lam, gammas, ks[:block], snapshot_at, record)
         finite = np.isfinite(state.x).all(axis=1)
         if not finite.all():
             r = int(np.flatnonzero(~finite)[0])

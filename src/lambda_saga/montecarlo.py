@@ -2,9 +2,10 @@
 
 :func:`clt_ensemble` estimates the covariance of sqrt(n) (X_n - x*) from M
 independent replications run with step 1/n (the only schedule the normality
-result covers, so it is hard-required here).  :func:`rate_ensemble` estimates
-the decay of E ||X_n - x*||^(2p) along a checkpoint grid and fits a log-log
-slope, together with the matching value-gap moments.
+result covers, so it is hard-required here).  :func:`rate_estimate` estimates
+the decay of E ||X_n - x*||^(2p) along the checkpoint grid of an ensemble
+and fits a log-log slope, together with the matching value-gap moments;
+:func:`rate_ensemble` runs the ensemble and estimates one order p.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import run_ensemble
+from .ensembles import EnsembleResult, run_ensemble
 from .problems import FiniteSumProblem
 from .schedule import StepSchedule, validate_rate_conditions
 
@@ -176,6 +177,21 @@ def fit_loglog_slope(ns, values) -> tuple[float, float]:
     return slope, float(1.96 * se)
 
 
+def check_rate_inputs(checkpoints, orders, mu=None) -> tuple[int, ...]:
+    """Validate a rate estimate's orders, ``mu`` and checkpoints; sort the latter."""
+    for p in orders:
+        if p < 1:
+            raise ValueError(f"p must be a positive integer, got {p}")
+    if mu is not None and not mu > 0:
+        raise ValueError(f"mu must be positive, got {mu}")
+    checkpoints = tuple(sorted(set(int(n) for n in checkpoints)))
+    if len(checkpoints) < 2:
+        raise ValueError("at least 2 checkpoints are needed for a slope")
+    if checkpoints[0] < 2:
+        raise ValueError("checkpoints must be iteration counters >= 2")
+    return checkpoints
+
+
 def rate_ensemble(
     problem: FiniteSumProblem,
     lam: float,
@@ -189,22 +205,33 @@ def rate_ensemble(
     burn_in: int = 100,
     workers: int = 1,
 ) -> RateEstimate:
-    """Estimate E ||X_n - x*||^(2p) at each checkpoint over M replications.
+    """:func:`rate_estimate` of M replications run to the last checkpoint."""
+    checkpoints = check_rate_inputs(checkpoints, (p,), mu)
+    result = run_ensemble(
+        problem, lam, schedule, checkpoints[-1] - 1, m_replications, base_seed,
+        x_ref=x_ref, checkpoints=checkpoints, workers=workers,
+    )
+    return rate_estimate(result, lam, schedule, p, mu, burn_in)
 
-    When ``mu`` is given the rate-guarantee inequalities are checked first;
-    violations do not stop the run but are recorded as warnings.  Checkpoints
-    below ``burn_in`` are kept in the moment table but excluded from the
-    slope fit.  A nonpositive moment (exact convergence) leaves the slope
-    undefined rather than failing.
+
+def rate_estimate(
+    result: EnsembleResult,
+    lam: float,
+    schedule: StepSchedule,
+    p: int,
+    mu: float | None = None,
+    burn_in: int = 100,
+) -> RateEstimate:
+    """Estimate E ||X_n - x*||^(2p) at each checkpoint of an ensemble run
+    with ``x_ref``.
+
+    When ``mu`` is given the rate-guarantee inequalities are checked;
+    violations are recorded as warnings.  Checkpoints below ``burn_in`` are
+    kept in the moment table but excluded from the slope fit.  A nonpositive
+    moment (exact convergence) leaves the slope undefined rather than
+    failing.  One ensemble serves every moment order.
     """
-    if p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
-    checkpoints = tuple(sorted(set(int(n) for n in checkpoints)))
-    if len(checkpoints) < 2:
-        raise ValueError("at least 2 checkpoints are needed for a slope")
-    if checkpoints[0] < 2:
-        raise ValueError("checkpoints must be iteration counters >= 2")
-
+    checkpoints = check_rate_inputs(result.checkpoint_sq_error, (p,), mu)
     warnings: list[str] = []
     condition_report: dict = {}
     if mu is not None:
@@ -212,12 +239,6 @@ def rate_ensemble(
         condition_report = report.to_dict()
         if not (report.l2_rate_ok if p == 1 else report.l2p_rate_ok):
             warnings.extend(report.messages)
-
-    n_iters = max(checkpoints) - 1
-    result = run_ensemble(
-        problem, lam, schedule, n_iters, m_replications, base_seed,
-        x_ref=x_ref, checkpoints=checkpoints, workers=workers,
-    )
 
     moments = tuple(
         float(np.mean(result.checkpoint_sq_error[n] ** p)) for n in checkpoints
@@ -264,6 +285,6 @@ def rate_ensemble(
         scaled_sup_ratio=scaled_sup_ratio,
         condition_report=condition_report,
         warnings=tuple(warnings),
-        m_replications=m_replications,
-        base_seed=base_seed,
+        m_replications=len(result.seeds),
+        base_seed=result.seeds[0],  # replication 0's seed is base_seed XOR 0
     )

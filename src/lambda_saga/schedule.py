@@ -8,7 +8,6 @@ second-moment and 2p-th-moment convergence rates are guaranteed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -52,12 +51,6 @@ class StepSchedule:
         if n_first < 1 or n_last < n_first:
             raise ValueError(f"invalid step range [{n_first}, {n_last}]")
         return np.array([self.c / n**self.alpha for n in range(n_first, n_last + 1)])
-
-    def steps_until_below(self, eps: float) -> int:
-        """Smallest N such that gamma(n) < eps for every n > N."""
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        return math.ceil((self.c / eps) ** (1.0 / self.alpha))
 
 
 @dataclass(frozen=True)

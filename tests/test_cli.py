@@ -1,9 +1,11 @@
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lambda_saga import cli
 from lambda_saga.cli import main
 
 
@@ -280,6 +282,21 @@ class TestInvalidInputs:
         assert code == 2
         assert "error: seed -1 must lie in [0, 2**128)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rule, named", [
+        ([-1, 1], "label_rule must be a JSON object"),
+        ({"negative": [-1]}, "'positive' only, got {'negative': [-1]}"),
+        ({"negative": [-1], "positive": 1}, "label_rule values must be lists"),
+    ])
+    def test_malformed_label_rule_named(self, tmp_path, capsys, rule, named):
+        data = tmp_path / "tiny.csv"
+        data.write_text("-1,1.0\n1,2.0\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dataset": str(data), "label_rule": rule}))
+        code = main(["run", "--config", str(config), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: label_rule") and named in err
+
     def test_label_rule_is_a_config_key(self, tmp_path):
         # Labels -1 and 1 lie outside the default digit split.
         data = tmp_path / "tiny.csv"
@@ -298,3 +315,117 @@ class TestInvalidInputs:
         assert code == 0
         meta = json.loads((latest_output(tmp_path, "run") / "metadata.json").read_text())
         assert meta["config"]["label_rule"] == rule
+
+
+# Every flag of the command line, with a value it parses.
+FLAG_VALUES = {
+    "--lambda": "0.5", "--c": "1", "--alpha": "0.75", "--iters": "10",
+    "--reps": "4", "--seed": "3", "--diag-every": "5", "--dataset": "data.csv",
+    "--format": "svmlight", "--scale": "2", "--problem": QUAD, "--mu": "1",
+    "--checkpoints": "10,20", "--epoch-size": "2", "--p": "2", "--max-p": "4",
+    "--pairs": "30", "--sample-count": "10", "--init": "gaussian",
+    "--init-scale": "2", "--workers": "2",
+}
+PROBLEM_FLAGS = {"--problem", "--dataset", "--format", "--scale"}
+# The flags each subcommand reads.
+READS = {
+    "run": {"--lambda", "--c", "--alpha", "--iters", "--seed", "--diag-every",
+            "--init", "--init-scale"} | PROBLEM_FLAGS,
+    "clt": {"--lambda", "--c", "--alpha", "--iters", "--reps", "--seed",
+            "--workers"} | PROBLEM_FLAGS,
+    "rates": {"--lambda", "--c", "--alpha", "--reps", "--seed", "--workers", "--p",
+              "--mu", "--checkpoints", "--epoch-size"} | PROBLEM_FLAGS,
+    "check": {"--p", "--sample-count", "--seed"} | PROBLEM_FLAGS,
+    "lemmas": {"--max-p", "--pairs", "--seed"},
+}
+
+
+class TestFlagsPerSubcommand:
+    def test_accepted_pairs(self):
+        assert len(FLAG_VALUES) == 21
+        assert sum(len(flags) for flags in READS.values()) == 47
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    def test_only_read_flags_parse(self, tmp_path, capsys, command, flag):
+        argv = [command, flag, FLAG_VALUES[flag], "--out-dir", str(tmp_path)]
+        if flag in READS[command]:
+            parse = cli._build_parser().parse_args
+            assert vars(parse(argv)) != vars(parse(argv[:1] + argv[3:]))
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            assert not tmp_path.joinpath(command).exists()
+
+    def test_metadata_records_the_keys_read(self, tmp_path):
+        # A config holding every known key, as a parent-era metadata.json
+        # does, serves any subcommand.
+        config = tmp_path / "metadata.json"
+        config.write_text(json.dumps({"config": dict(cli._RUN_DEFAULTS, pairs=30),
+                                      "version": "0"}))
+        assert main(["lemmas", "--config", str(config), "--max-p", "4",
+                     "--out-dir", str(tmp_path)]) == 0
+        meta = json.loads((latest_output(tmp_path, "lemmas") / "metadata.json").read_text())
+        assert meta["config"] == {"max_p": 4, "pairs": 30, "seed": 0}
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```bash", 1)[1]
+        block = block.split("```", 1)[0].replace("\\\n", " ")
+        lines = [line for line in block.splitlines() if line.startswith("lambda-saga ")]
+        assert sorted(shlex.split(line)[1] for line in lines) == sorted(READS)
+        parser = cli._build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
+
+
+class TestFailedCommands:
+    @pytest.mark.parametrize("argv, code, cause", [
+        (["clt", "--problem", QUAD, "--iters", "10", "--reps", "2", "--seed", "-1"],
+         2, "seed -1 must lie in [0, 2**128)"),
+        (["run", "--problem", QUAD, "--c", "1e6", "--alpha", "0.51",
+          "--iters", "5000"], 1, "non-finite iterate"),
+        (["rates", "--dataset", "SEPARABLE", "--mu", "0.5", "--reps", "2",
+          "--checkpoints", "10,20"], 1, "separable data?"),
+    ], ids=["clt-seed", "run-diverges", "rates-separable"])
+    def test_one_error_line_and_no_directory(self, tmp_path, capsys, argv, code, cause):
+        data = tmp_path / "separable.csv"
+        data.write_text("0,1.0,0.0\n7,-1.0,0.0\n3,2.0,1.0\n8,-2.0,-1.0\n")
+        argv = [str(data) if a == "SEPARABLE" else a for a in argv]
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error:") and cause in err
+        assert list((out / argv[0]).iterdir()) == []
+
+    def test_unexpected_failure_removes_the_directory(self, tmp_path, monkeypatch):
+        def broken(config, out):
+            (out / "constants.csv").write_text("p,C_p,D_p\n")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_lemmas", broken)
+        with pytest.raises(KeyboardInterrupt):
+            main(["lemmas", "--out-dir", str(tmp_path)])
+        assert list((tmp_path / "lemmas").iterdir()) == []
+
+
+def test_rates_runs_one_ensemble_per_lambda(tmp_path, monkeypatch):
+    calls = []
+    inner = cli.run_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ensemble", counted)
+    argv = ["rates", "--problem", QUAD, "--lambda", "0", "--lambda", "0.5",
+            "--checkpoints", "200,1000", "--reps", "8", "--seed", "2",
+            "--out-dir", str(tmp_path)]
+    assert main(argv + ["--p", "1", "--p", "2", "--p", "3"]) == 0
+    assert calls == [0.0, 0.5]
+    together = read_summary(latest_output(tmp_path, "rates"))["estimates"]
+    assert main(argv + ["--p", "2"]) == 0
+    alone = read_summary(latest_output(tmp_path, "rates"))["estimates"]
+    assert alone["lambda=0.5,p=2"] == together["lambda=0.5,p=2"]

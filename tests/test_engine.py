@@ -387,7 +387,7 @@ class TestRun:
         with pytest.raises(RunError, match="iteration n=56: boom"):
             run(problem, 0.0, StepSchedule(1.0, 1.0), 100, seed=0, diag_every=10)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises_naming_seed_and_block(self):
         # Steps near 1e6 overflow the iterate to inf and then nan.
         with pytest.raises(RunError, match=r"seed 3 .*non-finite.*n=2\.\.201"):

@@ -101,7 +101,7 @@ class TestReplicationSemantics:
             assert np.array_equal(serial.checkpoint_sq_error[n],
                                   parallel.checkpoint_sq_error[n])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_divergence_raises_naming_replication(self, workers):
         # Steps near 1e6 overflow every replication's iterate to inf and nan.

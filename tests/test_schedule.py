@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -53,21 +51,6 @@ class TestValidation:
 def test_gamma_monotone_decreasing(c, alpha, n):
     sched = StepSchedule(c, alpha)
     assert sched.gamma(n + 1) <= sched.gamma(n)
-
-
-@given(
-    c=st.floats(min_value=1e-3, max_value=1e3),
-    alpha=st.floats(min_value=0.51, max_value=1.0),
-    eps_factor=st.floats(min_value=1e-6, max_value=0.9),
-)
-def test_gamma_vanishes_beyond_threshold(c, alpha, eps_factor):
-    # eps chosen relative to c so the threshold stays enumerable
-    sched = StepSchedule(c, alpha)
-    eps = c * eps_factor
-    threshold = sched.steps_until_below(eps)
-    # the nominal bound can be off by one from the rounding of c * eps_factor
-    assert threshold <= math.ceil((1 / eps_factor) ** (1 / alpha)) + 1
-    assert sched.gamma(threshold + 1) < eps
 
 
 class TestRateConditions:
