@@ -59,7 +59,6 @@ from .problems import (
     ProblemError,
     QuadraticProblem,
     check_assumptions,
-    lipschitz_constant_p,
     random_logistic,
     random_quadratic,
     solve_minimizer,
@@ -109,7 +108,6 @@ __all__ = [
     "gaussian_initial_point",
     "init_state",
     "lambda_saga_step",
-    "lipschitz_constant_p",
     "load_dataset",
     "min_eigenvalue",
     "quadrature_covariance",

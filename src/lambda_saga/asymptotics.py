@@ -80,17 +80,6 @@ class AsymptoticCovariance:
     sigma: np.ndarray
     rho: float
 
-    def to_dict(self) -> dict:
-        d = self.h.shape[0]
-        return {
-            "d": d,
-            "lambda": self.lam,
-            "rho": self.rho,
-            "H": self.h.tolist(),
-            "Gamma": self.gamma.tolist(),
-            "Sigma": self.sigma.tolist(),
-        }
-
 
 def solve_lyapunov(
     h: np.ndarray, gamma: np.ndarray, lam: float

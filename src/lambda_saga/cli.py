@@ -21,12 +21,14 @@ directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import shutil
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,31 +56,68 @@ class CliError(Exception):
 
 # -- config handling ---------------------------------------------------------
 
-_RUN_DEFAULTS = {
-    "lambdas": [0.0, 0.5, 0.9, 1.0],
-    "c": 1.0,
-    "alpha": 1.0,
-    "iters": 10_000,
-    "reps": 100,
-    "seed": 0,
-    "diag_every": 1000,
-    "workers": 1,
-    "problem": {"type": "quadratic", "n": 50, "d": 5, "seed": 7},
-    "p_list": [1],
-    "mu": None,
-    "checkpoints": None,
-    "epoch_size": None,
-    "dataset": None,
-    "label_rule": None,
-    "format": "dense-csv",
-    "scale": None,
-    "label_column": 0,
-    "sample_count": 1000,
-    "max_p": 8,
-    "pairs": 100_000,
-    "dump_replications": False,
-    "init": "zeros",
-    "init_scale": 1.0,
+def _json_arg(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"must be a JSON object: {exc}") from None
+
+
+class _Key(NamedTuple):
+    """A config key: its default, its flag and the flag's argparse options
+    (no flag: set in a config file only), and the least value it accepts."""
+
+    default: object
+    flag: str | None = None
+    options: dict = {}
+    minimum: int | None = None
+
+
+# Every config key, once.  A subcommand's parser has the flags of the keys
+# it reads; each minimum is checked at load, for flags and config files alike.
+_CONFIG_KEYS = {
+    "lambdas": _Key([0.0, 0.5, 0.9, 1.0], "--lambda", dict(
+        type=float, action="append",
+        help="interpolation parameter in [0, 1]; repeatable")),
+    "c": _Key(1.0, "--c", dict(type=float, help="step scale")),
+    "alpha": _Key(1.0, "--alpha", dict(
+        type=float, help="step decay exponent in (1/2, 1]")),
+    "iters": _Key(10_000, "--iters", dict(type=int, help="iterations per run")),
+    "reps": _Key(100, "--reps", dict(type=int, help="Monte-Carlo replications")),
+    "seed": _Key(0, "--seed", dict(type=int, help="base seed")),
+    "diag_every": _Key(1000, "--diag-every", dict(
+        type=int, help="snapshot cadence in iterations")),
+    "dataset": _Key(None, "--dataset", dict(help="path to a dataset file")),
+    "format": _Key("dense-csv", "--format", dict(
+        choices=["dense-csv", "svmlight"], help="dataset file format")),
+    "scale": _Key(None, "--scale", dict(type=float, help="feature scaling factor")),
+    "problem": _Key({"type": "quadratic", "n": 50, "d": 5, "seed": 7}, "--problem",
+                    dict(type=_json_arg, help="synthetic problem spec as JSON")),
+    "mu": _Key(None, "--mu", dict(type=float, help="restricted secant constant")),
+    "checkpoints": _Key(None, "--checkpoints", dict(
+        help="comma-separated iteration checkpoints")),
+    "epoch_size": _Key(None, "--epoch-size", dict(
+        type=int, help="multiply checkpoint values by this epoch length"),
+        minimum=1),
+    "p_list": _Key([1], "--p", dict(
+        type=int, action="append", help="moment order; repeatable")),
+    "max_p": _Key(8, "--max-p", dict(
+        type=int, help="largest even order for the constants table")),
+    # Each inequality check draws pairs // 3 pairs in each of three dimensions.
+    "pairs": _Key(100_000, "--pairs", dict(
+        type=int, help="random pairs for inequality checks"), minimum=3),
+    "sample_count": _Key(1000, "--sample-count", dict(
+        type=int, help="sample points for assumption probing"), minimum=1),
+    "init": _Key("zeros", "--init", dict(
+        choices=["zeros", "gaussian"],
+        help="initial point: zero vector or seeded Gaussian")),
+    "init_scale": _Key(1.0, "--init-scale", dict(
+        type=float, help="standard deviation of the Gaussian initial point")),
+    "workers": _Key(1, "--workers", dict(
+        type=int, help="parallel ensemble workers"), minimum=1),
+    "label_rule": _Key(None),
+    "label_column": _Key(0),
+    "dump_replications": _Key(False),
 }
 
 _PROBLEM_CONFIG = ("problem", "dataset", "label_rule", "format", "scale",
@@ -102,7 +141,7 @@ def _load_config(args) -> dict:
     """The keys ``args.subcommand`` reads: defaults, then the config file
     (which may hold any known key, so one file serves several subcommands),
     then flags."""
-    config = dict(_RUN_DEFAULTS)
+    config = {key: entry.default for key, entry in _CONFIG_KEYS.items()}
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -114,21 +153,31 @@ def _load_config(args) -> dict:
         # A metadata.json written by a previous run is accepted directly.
         if "config" in file_cfg and "version" in file_cfg:
             file_cfg = file_cfg["config"]
-        unknown = sorted(set(file_cfg) - set(_RUN_DEFAULTS))
+        unknown = sorted(set(file_cfg) - set(_CONFIG_KEYS))
         if unknown:
             raise CliError(f"unknown config key(s) in {path}: {unknown}")
         config.update(file_cfg)
     # Every option named like a config key overrides it when given.
     for key, value in vars(args).items():
-        if key in _RUN_DEFAULTS and value is not None:
+        if key in _CONFIG_KEYS and value is not None:
             config[key] = value
-    return {key: config[key] for key in _COMMAND_KEYS[args.subcommand]}
+    config = {key: config[key] for key in _COMMAND_KEYS[args.subcommand]}
+    for key, value in config.items():
+        flag, least = _CONFIG_KEYS[key].flag, _CONFIG_KEYS[key].minimum
+        if least is not None and value is not None:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise CliError(f"{flag} must be an integer, got {value!r}")
+            if value < least:
+                raise CliError(f"{flag} must be at least {least}, got {value!r}")
+    return config
 
 
-# The keys a synthetic problem spec may hold, per problem type.
-_PROBLEM_KEYS = {
-    "quadratic": {"type", "n", "d", "seed", "scale"},
-    "logistic": {"type", "n", "d", "seed", "feature_scale", "parameter_scale"},
+# Each synthetic problem type: its generator, called with the spec's n, d
+# and seed, and the converters of the generator options a spec may give.
+_PROBLEM_TYPES = {
+    "quadratic": (random_quadratic, {"scale": float}),
+    "logistic": (random_logistic,
+                 {"feature_scale": float, "parameter_scale": float}),
 }
 
 
@@ -148,23 +197,20 @@ def make_problem(config: dict):
     spec = config["problem"] or {}
     if not isinstance(spec, dict):
         raise CliError(f"the problem spec must be a JSON object, got {spec!r}")
-    kind = spec.get("type", "quadratic")
-    if kind not in _PROBLEM_KEYS:
+    # The default spec supplies the type, n, d and seed a spec leaves out.
+    spec = {**_CONFIG_KEYS["problem"].default, **spec}
+    kind = spec["type"]
+    if kind not in _PROBLEM_TYPES:
         raise CliError(f"unknown problem type {kind!r}")
-    unknown = sorted(set(spec) - _PROBLEM_KEYS[kind])
+    generator, options = _PROBLEM_TYPES[kind]
+    known = {"type", "n", "d", "seed", *options}
+    unknown = sorted(set(spec) - known)
     if unknown:
         raise CliError(f"unknown key(s) in the {kind} problem spec: {unknown} "
-                       f"(known: {sorted(_PROBLEM_KEYS[kind])})")
-    n = int(spec.get("n", 50))
-    d = int(spec.get("d", 5))
-    seed = int(spec.get("seed", 7))
-    if kind == "quadratic":
-        return random_quadratic(n, d, seed, scale=float(spec.get("scale", 1.0)))
-    return random_logistic(
-        n, d, seed,
-        feature_scale=float(spec.get("feature_scale", 3.0)),
-        parameter_scale=float(spec.get("parameter_scale", 0.3)),
-    )
+                       f"(known: {sorted(known)})")
+    given = {key: convert(spec[key]) for key, convert in options.items()
+             if key in spec}
+    return generator(int(spec["n"]), int(spec["d"]), int(spec["seed"]), **given)
 
 
 def _label_rule(spec) -> LabelRule:
@@ -220,7 +266,7 @@ def cmd_run(config, out: Path):
     x_ref = None
     try:
         x_ref = solve_minimizer(problem)
-    except Exception as exc:  # diagnostics degrade gracefully without x*
+    except ProblemError as exc:  # diagnostics degrade gracefully without x*
         print(f"note: no reference minimizer ({exc}); recording table-mean norms only")
 
     x0 = _initial_point(config, problem)
@@ -324,9 +370,7 @@ def cmd_rates(config, out: Path):
     schedule = StepSchedule(float(config["c"]), float(config["alpha"]))
     x_ref = solve_minimizer(problem)
 
-    mu = config["mu"]
-    if mu is None and problem.describe().get("type") == "quadratic":
-        mu = 1.0  # exact for the quadratic family
+    mu = problem.secant_constant if config["mu"] is None else config["mu"]
     if mu is None:
         raise CliError("rates need --mu for problems without a known secant constant")
     p_list = [int(p) for p in config["p_list"]]
@@ -440,50 +484,6 @@ def cmd_lemmas(config, out: Path):
 # -- argument parsing ----------------------------------------------------------
 
 
-def _json_arg(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise argparse.ArgumentTypeError(f"must be a JSON object: {exc}") from None
-
-
-# The flag of each config key that has one, with its options (label_rule,
-# label_column and dump_replications are set in a config file only).
-_FLAGS = {
-    "lambdas": ("--lambda", dict(type=float, action="append",
-                                 help="interpolation parameter in [0, 1]; repeatable")),
-    "c": ("--c", dict(type=float, help="step scale")),
-    "alpha": ("--alpha", dict(type=float, help="step decay exponent in (1/2, 1]")),
-    "iters": ("--iters", dict(type=int, help="iterations per run")),
-    "reps": ("--reps", dict(type=int, help="Monte-Carlo replications")),
-    "seed": ("--seed", dict(type=int, help="base seed")),
-    "diag_every": ("--diag-every", dict(type=int,
-                                        help="snapshot cadence in iterations")),
-    "dataset": ("--dataset", dict(help="path to a dataset file")),
-    "format": ("--format", dict(choices=["dense-csv", "svmlight"],
-                                help="dataset file format")),
-    "scale": ("--scale", dict(type=float, help="feature scaling factor")),
-    "problem": ("--problem", dict(type=_json_arg,
-                                  help="synthetic problem spec as JSON")),
-    "mu": ("--mu", dict(type=float, help="restricted secant constant")),
-    "checkpoints": ("--checkpoints",
-                    dict(help="comma-separated iteration checkpoints")),
-    "epoch_size": ("--epoch-size", dict(
-        type=int, help="multiply checkpoint values by this epoch length")),
-    "p_list": ("--p", dict(type=int, action="append", help="moment order; repeatable")),
-    "max_p": ("--max-p", dict(type=int,
-                              help="largest even order for the constants table")),
-    "pairs": ("--pairs", dict(type=int, help="random pairs for inequality checks")),
-    "sample_count": ("--sample-count", dict(
-        type=int, help="sample points for assumption probing")),
-    "init": ("--init", dict(choices=["zeros", "gaussian"],
-                            help="initial point: zero vector or seeded Gaussian")),
-    "init_scale": ("--init-scale", dict(
-        type=float, help="standard deviation of the Gaussian initial point")),
-    "workers": ("--workers", dict(type=int, help="parallel ensemble workers")),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lambda-saga",
@@ -497,27 +497,31 @@ def _build_parser() -> argparse.ArgumentParser:
         # pass as a prefix of one it does (--c of --config, --p of --pairs).
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        for key, (flag, options) in _FLAGS.items():
-            if key in keys:
-                p.add_argument(flag, dest=key, **options)
+        for key, entry in _CONFIG_KEYS.items():
+            if key in keys and entry.flag:
+                p.add_argument(entry.flag, dest=key, **entry.options)
         p.add_argument("--out-dir", dest="out_dir", default="results",
                        help="output root directory")
-        p.set_defaults(handler=handlers[name])
+        p.set_defaults(handler=handlers[name], parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unread = _build_parser().parse_known_args(argv)
+    if unread:  # the subcommand's usage line lists the flags it reads
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     started = time.perf_counter()
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
     out = Path(args.out_dir) / args.subcommand / stamp
     # The command writes into a hidden sibling that becomes ``out`` only
-    # when it succeeds, so a failed command leaves no directory behind.
+    # when it succeeds, so a failed command leaves no directory behind:
+    # neither its own nor the parents it had to create.
     partial = out.with_name(f".{stamp}.partial")
     try:
         config = _load_config(args)
-        partial.mkdir(parents=True)
+        created = [d for d in partial.parents if not d.exists()]
         try:
+            partial.mkdir(parents=True)
             summary, timings = args.handler(config, partial)
             _write_json(partial / "summary.json", summary)
             # Timings (seconds, varying from run to run) go to metadata.json only.
@@ -531,6 +535,9 @@ def main(argv=None) -> int:
             partial.rename(out)
         except BaseException:
             shutil.rmtree(partial, ignore_errors=True)
+            for parent in created:  # innermost first; kept if no longer empty
+                with contextlib.suppress(OSError):
+                    parent.rmdir()
             raise
     except (CliError, ValueError, OSError, RunError, ProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)

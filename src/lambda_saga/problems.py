@@ -1,19 +1,24 @@
 """Finite-sum objectives f(x) = (1/N) * sum_k f_k(x) with per-component gradients.
 
-Two concrete problem families are provided:
+A problem family is a subclass of :class:`FiniteSumProblem` that declares
+its closed forms itself: its ``type_name``, its growth constants L_p
+(``_growth_constant``, which ``growth_constant`` calls for p >= 1), its
+restricted secant constant mu (``secant_constant``) and its minimizer
+(``closed_form_minimizer``).  Two families are provided:
 
 * :class:`QuadraticProblem` -- f_k(x) = ||x - a_k||^2 / 2 for anchor points
   a_k.  Everything about it is closed form (identity Hessian, minimizer at
-  the anchor mean, all growth constants equal to 1), which makes it the
-  reference test bed.
+  the anchor mean, mu and all growth constants equal to 1), which makes it
+  the reference test bed.
 * :class:`LogisticProblem` -- binary logistic regression on feature rows w_k
   with labels y_k in {0, 1}.  Gradients, Hessian, and the moment growth
-  constants have stable closed forms.  Its gradient hooks return
-  :class:`FactoredRows`, the rows w_k * s_k with both factors attached.
+  constants have stable closed forms; mu and the minimizer do not.  Its
+  gradient hooks return :class:`FactoredRows`, the rows w_k * s_k with both
+  factors attached.
 
-The module also houses the reference-minimizer Newton solver and the
+The module also houses the reference-minimizer Newton solver, the
 assumption checker that estimates the constants (L, L_p, rho, mu) a problem
-satisfies.
+satisfies, and the seeded generators of both families.
 """
 
 from __future__ import annotations
@@ -46,6 +51,11 @@ class FiniteSumProblem:
 
     n_components: int
     dim: int
+    # A family's name in ``describe`` (else the class name), its restricted
+    # secant constant mu when known, and the parameters ``describe`` reports.
+    type_name: str | None = None
+    secant_constant: float | None = None
+    metadata: dict = {}
 
     # -- scalar interface -------------------------------------------------
 
@@ -86,13 +96,31 @@ class FiniteSumProblem:
     def hessian(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} exposes no Hessian")
 
+    def closed_form_minimizer(self) -> np.ndarray | None:
+        """The minimizer x*, or None when it takes a solve."""
+        return None
+
     def reference_minimizer(self) -> np.ndarray:
-        raise NotImplementedError(
-            f"{type(self).__name__} exposes no reference minimizer"
-        )
+        x_star = self.closed_form_minimizer()
+        if x_star is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} exposes no reference minimizer"
+            )
+        return x_star
+
+    def growth_constant(self, p: int) -> float:
+        """Closed-form L_p of the order-2p gradient growth bound
+        mean_k ||grad f_k(x) - grad f_k(x*)||^(2p) <= L_p ||x - x*||^(2p)."""
+        if p < 1:
+            raise ValueError(f"p must be a positive integer, got {p}")
+        return self._growth_constant(p)
+
+    def _growth_constant(self, p: int) -> float:
+        raise ProblemError(f"no closed form for L_p on {type(self).__name__}")
 
     def describe(self) -> dict:
-        return {"type": type(self).__name__, "N": self.n_components, "d": self.dim}
+        return {"type": self.type_name or type(self).__name__,
+                "N": self.n_components, "d": self.dim, **self.metadata}
 
     def _check_dim(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -107,6 +135,9 @@ class QuadraticProblem(FiniteSumProblem):
     ``full_gradient`` uses the closed form x - mean(anchors) so that the
     secant identity <x - x*, grad f(x)> == ||x - x*||^2 holds bitwise.
     """
+
+    type_name = "quadratic"
+    secant_constant = 1.0
 
     def __init__(self, anchors: np.ndarray, metadata: dict | None = None):
         anchors = np.asarray(anchors, dtype=float)
@@ -148,16 +179,11 @@ class QuadraticProblem(FiniteSumProblem):
     def hessian(self, x):
         return np.eye(self.dim)
 
-    def reference_minimizer(self):
+    def closed_form_minimizer(self):
         return self._anchor_mean.copy()
 
-    def describe(self):
-        return {
-            "type": "quadratic",
-            "N": self.n_components,
-            "d": self.dim,
-            **self.metadata,
-        }
+    def _growth_constant(self, p):
+        return 1.0
 
 
 class FactoredRows(np.ndarray):
@@ -194,6 +220,8 @@ class LogisticProblem(FiniteSumProblem):
     overflow-safe branch so large inner products never overflow exp.
     """
 
+    type_name = "logistic"
+
     def __init__(
         self,
         features: np.ndarray,
@@ -222,8 +250,9 @@ class LogisticProblem(FiniteSumProblem):
         return float(np.logaddexp(0.0, t) - self.labels[k] * t)
 
     def component_gradient(self, k, x):
+        # <w_k, x> reduced as in ``component_gradients``: both agree bitwise.
         x = self._check_dim(x)
-        t = float(self.features[k] @ x)
+        t = float(np.einsum("d,d->", self.features[k], x))
         return self.features[k] * (expit(t) - self.labels[k])
 
     def value(self, x):
@@ -264,31 +293,10 @@ class LogisticProblem(FiniteSumProblem):
             self._minimizer_cache = solve_minimizer(self)
         return self._minimizer_cache.copy()
 
-    def describe(self):
-        return {
-            "type": "logistic",
-            "N": self.n_components,
-            "d": self.dim,
-            **self.metadata,
-        }
-
-
-def lipschitz_constant_p(problem: FiniteSumProblem, p: int = 1) -> float:
-    """Closed-form growth constant L_p for the order-2p gradient bound.
-
-    For the logistic problem L_p = (1 / (4**p * N)) * sum_k ||w_k||^(4p);
-    the quadratic problem has L_p = 1 for every p.
-    """
-    if p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
-    if isinstance(problem, QuadraticProblem):
-        return 1.0
-    if isinstance(problem, LogisticProblem):
-        norms2 = (problem.features**2).sum(axis=1)
+    def _growth_constant(self, p):
+        """L_p = (1 / (4**p * N)) * sum_k ||w_k||^(4p)."""
+        norms2 = (self.features**2).sum(axis=1)
         return float(np.mean(norms2 ** (2 * p)) / 4**p)
-    raise ProblemError(
-        f"no closed form for L_p on {type(problem).__name__}"
-    )
 
 
 def solve_minimizer(
@@ -298,7 +306,7 @@ def solve_minimizer(
 ) -> np.ndarray:
     """Reference minimizer with gradient-norm stopping rule ||grad f|| <= tol.
 
-    Quadratic problems are dispatched to their closed form.  Otherwise a
+    A closed-form minimizer is returned as it is.  Otherwise a
     damped Newton iteration is used: full Newton step, halved while the
     objective value increases.  Non-convergence within ``max_iter`` raises
     :class:`MinimizerError` carrying the last gradient norm; separable
@@ -307,8 +315,9 @@ def solve_minimizer(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if isinstance(problem, QuadraticProblem):
-        return problem.reference_minimizer()
+    x_star = problem.closed_form_minimizer()
+    if x_star is not None:
+        return x_star
 
     x = np.zeros(problem.dim)
     for _ in range(max_iter):
@@ -408,8 +417,8 @@ def check_assumptions(
     radii = np.repeat([0.1, 1.0, 10.0], max(1, sample_count // 3 + 1))[:sample_count]
     points = x_star[None, :] + radii[:, None] * rng.standard_normal((sample_count, d))
 
-    L = lipschitz_constant_p(problem, 1)
-    L_p = {p: lipschitz_constant_p(problem, p) for p in p_list}
+    L = problem.growth_constant(1)
+    L_p = {p: problem.growth_constant(p) for p in p_list}
 
     rho = None
     try:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lambda_saga import cli
+from lambda_saga import MinimizerError, cli
 from lambda_saga.cli import main
 
 
@@ -274,6 +274,32 @@ class TestInvalidInputs:
         err = capsys.readouterr().err
         assert "unknown key(s) in the" in err and key in err
 
+    @pytest.mark.parametrize("command, key, flag, value, least", [
+        ("clt", "workers", "--workers", 0, 1),
+        ("rates", "workers", "--workers", -5, 1),
+        ("rates", "epoch_size", "--epoch-size", 0, 1),
+        ("check", "sample_count", "--sample-count", 0, 1),
+        ("lemmas", "pairs", "--pairs", 2, 3),
+    ])
+    def test_out_of_range_value_named(self, tmp_path, capsys, command, key, flag,
+                                      value, least):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        for given in ([flag, str(value)], ["--config", str(config)]):
+            assert main([command, *given, "--out-dir", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {flag} must be at least {least}, got {value}\n"
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize("value", ["two", [2], True])
+    def test_non_integer_config_value_named(self, tmp_path, capsys, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"workers": value}))
+        assert main(["clt", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --workers must be an integer, got {value!r}\n")
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_negative_seed_named(self, tmp_path, capsys):
         code = main([
             "clt", "--problem", QUAD, "--iters", "10", "--reps", "2",
@@ -356,14 +382,17 @@ class TestFlagsPerSubcommand:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
-            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: lambda-saga {command} [-h] [--config CONFIG]")
+            assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in err
             assert not tmp_path.joinpath(command).exists()
 
     def test_metadata_records_the_keys_read(self, tmp_path):
         # A config holding every known key, as a parent-era metadata.json
         # does, serves any subcommand.
         config = tmp_path / "metadata.json"
-        config.write_text(json.dumps({"config": dict(cli._RUN_DEFAULTS, pairs=30),
+        defaults = {key: entry.default for key, entry in cli._CONFIG_KEYS.items()}
+        config.write_text(json.dumps({"config": dict(defaults, pairs=30),
                                       "version": "0"}))
         assert main(["lemmas", "--config", str(config), "--max-p", "4",
                      "--out-dir", str(tmp_path)]) == 0
@@ -398,7 +427,13 @@ class TestFailedCommands:
         assert main(argv + ["--out-dir", str(out)]) == code
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and err.startswith("error:") and cause in err
-        assert list((out / argv[0]).iterdir()) == []
+        assert not out.exists()
+
+    def test_directories_that_existed_are_kept(self, tmp_path):
+        (tmp_path / "clt" / "earlier").mkdir(parents=True)
+        argv = ["clt", "--problem", QUAD, "--seed", "-1", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert [p.name for p in (tmp_path / "clt").iterdir()] == ["earlier"]
 
     def test_unexpected_failure_removes_the_directory(self, tmp_path, monkeypatch):
         def broken(config, out):
@@ -408,7 +443,63 @@ class TestFailedCommands:
         monkeypatch.setattr(cli, "cmd_lemmas", broken)
         with pytest.raises(KeyboardInterrupt):
             main(["lemmas", "--out-dir", str(tmp_path)])
-        assert list((tmp_path / "lemmas").iterdir()) == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_programming_error_in_the_minimizer_propagates(self, tmp_path, monkeypatch):
+        def broken(problem):
+            raise TypeError("broken solver")
+
+        monkeypatch.setattr(cli, "solve_minimizer", broken)
+        with pytest.raises(TypeError, match="broken solver"):
+            main(["run", "--problem", QUAD, "--iters", "10", "--out-dir", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_run_without_a_minimizer_notes_it(tmp_path, monkeypatch, capsys):
+    def no_minimizer(problem):
+        raise MinimizerError("flat ray")
+
+    monkeypatch.setattr(cli, "solve_minimizer", no_minimizer)
+    assert main(["run", "--problem", QUAD, "--lambda", "0.5", "--iters", "100",
+                 "--diag-every", "50", "--out-dir", str(tmp_path)]) == 0
+    assert "note: no reference minimizer (flat ray)" in capsys.readouterr().out
+    trace = (latest_output(tmp_path, "run") / "trace_lambda_0.5.csv").read_text()
+    rows = [line.split(",") for line in trace.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["1", "50", "100", "101"]
+    assert all(row[1] == "" and float(row[5]) > 0.0 for row in rows)  # no V_n
+
+
+@pytest.mark.parametrize("argv", [
+    ["clt", "--problem", QUAD, "--lambda", "0", "--lambda", "0.5", "--iters", "300"],
+    ["rates", "--problem", LOGIT, "--lambda", "0.5", "--mu", "0.5", "--p", "1",
+     "--p", "2", "--checkpoints", "50,100,200,400"],
+], ids=["clt", "rates"])
+def test_outputs_independent_of_workers(tmp_path, argv):
+    config = tmp_path / "config.json"
+    config.write_text('{"dump_replications": true}')
+    written = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(argv + ["--reps", "6", "--seed", "4", "--workers", workers,
+                            "--config", str(config), "--out-dir", str(out)]) == 0
+        run_dir = latest_output(out, argv[0])
+        written.append({p.name: p.read_bytes() for p in sorted(run_dir.iterdir())
+                        if p.name != "metadata.json"})
+    assert len(written[0]) >= 2 and written[0] == written[1]
+
+
+@pytest.mark.parametrize("spec, options", [
+    ({"type": "quadratic"}, {"scale": 1.0}),
+    ({"scale": 2}, {"scale": 2.0}),
+    ({"type": "logistic", "feature_scale": 1},
+     {"feature_scale": 1.0, "parameter_scale": 0.3}),
+])
+def test_problem_spec_defaults_and_conversions(spec, options):
+    described = cli.make_problem({"dataset": None, "problem": spec}).describe()
+    assert {key: described[key] for key in ("N", "d", "seed")} == {
+        "N": 50, "d": 5, "seed": 7}
+    assert {key: described[key] for key in options} == options
+    assert all(type(described[key]) is float for key in options)
 
 
 def test_rates_runs_one_ensemble_per_lambda(tmp_path, monkeypatch):

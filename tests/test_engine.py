@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from references import saga_reference, sgd_reference
 
 from lambda_saga import (
     IndexSampler,
@@ -130,23 +131,31 @@ class TestGradientTable:
                            atol=1e-12)
 
     @pytest.mark.parametrize("make", [random_quadratic, random_logistic])
-    def test_drift_bounded_before_resync(self, make):
+    @settings(max_examples=25, deadline=None)
+    @given(n_comp=st.integers(2, 200), dim=st.integers(1, 4),
+           problem_seed=st.integers(0, 2**32 - 1), sampler_seed=st.integers(0, 2**32),
+           m=st.integers(1, 8), lam=st.floats(0.0, 1.0), c=st.floats(0.1, 2.0),
+           alpha=st.floats(0.51, 1.0),
+           x0=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4))
+    @example(n_comp=1000, dim=3, problem_seed=1, sampler_seed=0, m=64, lam=0.5,
+             c=1.0, alpha=0.75, x0=[1.0] * 4)
+    def test_drift_bounded_before_resync(self, make, n_comp, dim, problem_seed,
+                                         sampler_seed, m, lam, c, alpha, x0):
         # At state counters n = N, 2N, ... each replication's mean has taken
         # N - 1 incremental updates since the last resync, the most it ever
         # takes; compare it there with the exact mean of its table.
-        problem = make(1000, 3, 1)
-        m = 64
-        samplers = [IndexSampler(seed, problem.n_components) for seed in range(m)]
-        x0 = np.ones(problem.dim)
+        problem = make(n_comp, dim, problem_seed)
+        samplers = [IndexSampler(sampler_seed + i, n_comp) for i in range(m)]
+        x0 = np.array(x0[:dim])
         state = OptimizerState(problem.gradient_table(x0), x0, m, samplers)
         drifts = []
 
         def record(state):
-            assert state.since_resync == problem.n_components - 1
+            assert state.since_resync == n_comp - 1
             drifts.append(np.abs(state.mean - state.table.mean()).max())
 
-        _advance(state, problem, 0.5, StepSchedule(1.0, 0.75), 3000,
-                 range(1000, 3001, 1000), record, str)
+        _advance(state, problem, lam, StepSchedule(c, alpha), 3 * n_comp,
+                 range(n_comp, 3 * n_comp + 1, n_comp), record, str)
         assert len(drifts) == 3
         assert max(drifts) <= 1e-8
 
@@ -291,53 +300,41 @@ class TestConditionalStepExpectation:
         assert expected_a == pytest.approx(snap.tau2 / problem.n_components)
 
 
-def sgd_reference(problem, schedule, n_iters, indices, x0):
-    """Plain stochastic gradient descent, written independently."""
-    x = x0.copy()
-    for i in range(n_iters):
-        x = x - schedule.gamma(i + 1) * problem.component_gradient(
-            int(indices[i]), x
-        )
-    return x
+# Random problems of either family, and the fixed quadratic case.
+reduction_cases = given(
+    make=st.sampled_from([random_quadratic, random_logistic]),
+    n_comp=st.integers(1, 12), dim=st.integers(1, 5),
+    problem_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**64 - 1),
+    n_iters=st.integers(1, 300), c=st.floats(0.1, 2.0), alpha=st.floats(0.51, 1.0),
+    x0=st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5))
+fixed_reduction_case = example(
+    make=random_quadratic, n_comp=50, dim=5, problem_seed=31, seed=1234,
+    n_iters=2000, c=1.0, alpha=1.0, x0=[0.0] * 5)
 
 
-def saga_reference(problem, schedule, n_iters, indices, x0):
-    """The variance-reduced update with stored gradients, left to right:
-    x - gamma * (grad - row + mean)."""
-    n = problem.n_components
-    x = x0.copy()
-    rows = problem.gradient_table(x0)
-    mean = rows.mean(axis=0)
-    updates = 0
-    for i in range(n_iters):
-        k = int(indices[i])
-        grad = problem.component_gradient(k, x)
-        x = x - schedule.gamma(i + 1) * ((grad - rows[k]) + mean)
-        mean = mean + (grad - rows[k]) / n
-        rows[k] = grad
-        updates += 1
-        if updates == n:
-            mean = rows.mean(axis=0)
-            updates = 0
-    return x
+def check_reduction(lam, reference, make, n_comp, dim, problem_seed, seed, n_iters,
+                    c, alpha, x0):
+    problem = make(n_comp, dim, problem_seed)
+    schedule = StepSchedule(c, alpha)
+    x0 = np.array(x0[:dim])
+    indices = IndexSampler(seed, n_comp).take(n_iters)
+    trace = run(problem, lam, schedule, n_iters, seed, diag_every=10**9, x0=x0)
+    assert np.array_equal(trace.final_iterate,
+                          reference(problem, schedule, n_iters, indices, x0))
 
 
 class TestReductionIdentities:
-    def test_lambda_zero_matches_sgd_bitwise(self):
-        problem = random_quadratic(50, 5, seed=31)
-        schedule = StepSchedule(1.0, 1.0)
-        indices = IndexSampler(1234, 50).take(2000)
-        trace = run(problem, 0.0, schedule, 2000, seed=1234, diag_every=10**9)
-        reference = sgd_reference(problem, schedule, 2000, indices, np.zeros(5))
-        assert np.array_equal(trace.final_iterate, reference)
+    @settings(max_examples=30, deadline=None)
+    @reduction_cases
+    @fixed_reduction_case
+    def test_lambda_zero_matches_sgd_bitwise(self, **case):
+        check_reduction(0.0, sgd_reference, **case)
 
-    def test_lambda_one_matches_saga_bitwise(self):
-        problem = random_quadratic(50, 5, seed=31)
-        schedule = StepSchedule(1.0, 1.0)
-        indices = IndexSampler(1234, 50).take(2000)
-        trace = run(problem, 1.0, schedule, 2000, seed=1234, diag_every=10**9)
-        reference = saga_reference(problem, schedule, 2000, indices, np.zeros(5))
-        assert np.array_equal(trace.final_iterate, reference)
+    @settings(max_examples=30, deadline=None)
+    @reduction_cases
+    @fixed_reduction_case
+    def test_lambda_one_matches_saga_bitwise(self, **case):
+        check_reduction(1.0, saga_reference, **case)
 
 
 class TestRun:

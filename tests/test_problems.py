@@ -9,7 +9,6 @@ from lambda_saga import (
     ProblemError,
     QuadraticProblem,
     check_assumptions,
-    lipschitz_constant_p,
     random_logistic,
     random_quadratic,
     solve_minimizer,
@@ -130,8 +129,8 @@ class TestQuadratic:
 
     def test_identity_hessian_and_constants(self, quad):
         assert np.array_equal(quad.hessian(np.zeros(quad.dim)), np.eye(quad.dim))
-        assert lipschitz_constant_p(quad, 1) == 1.0
-        assert lipschitz_constant_p(quad, 3) == 1.0
+        assert quad.growth_constant(1) == 1.0
+        assert quad.growth_constant(3) == 1.0
 
 
 class TestLogistic:
@@ -166,18 +165,18 @@ class TestLogistic:
 
     def test_growth_constant_single_feature(self):
         problem = LogisticProblem(np.array([[2.0, 0.0]]), np.array([1.0]))
-        assert lipschitz_constant_p(problem, 1) == pytest.approx(4.0)
+        assert problem.growth_constant(1) == pytest.approx(4.0)
 
     def test_growth_constant_zero_features(self):
         problem = LogisticProblem(np.zeros((3, 2)), np.array([0.0, 1.0, 0.0]))
-        assert lipschitz_constant_p(problem, 1) == 0.0
+        assert problem.growth_constant(1) == 0.0
 
     def test_growth_constant_no_closed_form(self):
         class Custom(FiniteSumProblem):
             pass
 
         with pytest.raises(ProblemError, match="no closed form"):
-            lipschitz_constant_p(Custom(), 1)
+            Custom().growth_constant(1)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_moment_growth_bound_holds(self, logit, p):
@@ -185,7 +184,7 @@ class TestLogistic:
         rng = np.random.default_rng(15)
         x_star = logit.reference_minimizer()
         table_star = logit.gradient_table(x_star)
-        l_p = lipschitz_constant_p(logit, p)
+        l_p = logit.growth_constant(p)
         xs = x_star + rng.standard_normal((10_000, logit.dim)) * rng.choice(
             [0.1, 1.0, 10.0], size=(10_000, 1)
         )
@@ -201,6 +200,30 @@ class TestLogistic:
     def test_rejects_non_binary_labels(self):
         with pytest.raises(ValueError, match="binary"):
             LogisticProblem(np.eye(2), np.array([0.0, 2.0]))
+
+
+class TestFamilyDeclarations:
+    def test_closed_forms_on_the_class(self, quad, logit):
+        assert (quad.secant_constant, logit.secant_constant) == (1.0, None)
+        assert (quad.describe()["type"], logit.describe()["type"]) == (
+            "quadratic", "logistic")
+        assert np.array_equal(solve_minimizer(quad), quad.anchors.mean(axis=0))
+        assert logit.closed_form_minimizer() is None
+
+    def test_family_without_closed_forms(self):
+        class Custom(FiniteSumProblem):
+            n_components, dim = 2, 1
+
+        assert Custom().describe() == {"type": "Custom", "N": 2, "d": 1}
+        assert Custom().secant_constant is None
+        with pytest.raises(NotImplementedError, match="no reference minimizer"):
+            Custom().reference_minimizer()
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_growth_constant_rejects_orders_below_one(self, quad, logit, p):
+        for problem in (quad, logit):
+            with pytest.raises(ValueError, match="p must be a positive integer"):
+                problem.growth_constant(p)
 
 
 class TestSolveMinimizer:
