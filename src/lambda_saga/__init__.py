@@ -13,7 +13,6 @@ from .asymptotics import (
     AsymptoticCovariance,
     CovarianceError,
     gamma_matrix,
-    min_eigenvalue,
     quadrature_covariance,
     required_horizon,
     solve_lyapunov,
@@ -109,7 +108,6 @@ __all__ = [
     "init_state",
     "lambda_saga_step",
     "load_dataset",
-    "min_eigenvalue",
     "quadrature_covariance",
     "random_logistic",
     "random_quadratic",

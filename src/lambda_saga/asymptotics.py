@@ -47,12 +47,6 @@ def _require_symmetric(mat: np.ndarray, name: str) -> np.ndarray:
     return (mat + mat.T) / 2.0
 
 
-def min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    h = _require_symmetric(h, "H")
-    return float(np.linalg.eigvalsh(h).min())
-
-
 def gamma_matrix(problem: FiniteSumProblem, x_star: np.ndarray) -> np.ndarray:
     """Average outer product of component gradients at the minimizer.
 
@@ -71,12 +65,10 @@ def gamma_matrix(problem: FiniteSumProblem, x_star: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AsymptoticCovariance:
-    """Covariance bundle (H, Gamma, lam, Sigma, rho) with Sigma validated
-    against the stationarity equation at construction."""
+    """What :func:`solve_lyapunov` returns: the solution ``sigma`` of the
+    stationarity equation, checked against it and for positive
+    semidefiniteness, and ``rho``, the smallest eigenvalue of H."""
 
-    h: np.ndarray
-    gamma: np.ndarray
-    lam: float
     sigma: np.ndarray
     rho: float
 
@@ -113,7 +105,7 @@ def solve_lyapunov(
     sigma = (1.0 - lam) ** 2 * base
 
     _validate_solution(h, gamma, lam, sigma)
-    return AsymptoticCovariance(h=h, gamma=gamma, lam=lam, sigma=sigma, rho=rho)
+    return AsymptoticCovariance(sigma=sigma, rho=rho)
 
 
 def _validate_solution(h, gamma, lam, sigma):

@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .datasets import DIGIT_SPLIT, LabelRule, load_dataset
 from .engine import (
-    RunError, gaussian_initial_point, run, write_trace_csv, trace_metadata,
+    RunError, gaussian_initial_point, run, write_trace_csv, write_trace_metadata,
 )
 from .ensembles import run_ensemble
 from .inequalities import check_norm_power_inequality, cp_dp, recursion_bound_trace
@@ -284,11 +284,8 @@ def cmd_run(config, out: Path):
             x0=x0,
         )
         write_trace_csv(trace, out / f"trace_lambda_{lam}.csv")
-        # Wall time goes to metadata.json so that the trace files stay
-        # byte-reproducible.
-        meta = trace_metadata(trace)
-        run_seconds[str(lam)] = meta.pop("wall_time_s")
-        _write_json(out / f"trace_lambda_{lam}.meta.json", meta)
+        write_trace_metadata(trace, out / f"trace_lambda_{lam}.meta.json")
+        run_seconds[str(lam)] = trace.wall_time_s
         final_norms[str(lam)] = trace.snapshots[-1].grad_eval_norm
         print(
             f"[run] lambda={lam}: {config['iters']} steps, "

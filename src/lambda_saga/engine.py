@@ -262,7 +262,7 @@ class OptimizerState:
     iteration counter, shared by all replications and starting at 1, and
     ``samplers`` holds each replication's IndexSampler (none when the caller
     supplies the indices).  A scalar run is the state with M = 1, whose
-    iterate is ``iterate``.
+    iterate is ``x[0]``.
     """
 
     def __init__(self, rows0, x1, m, samplers=()):
@@ -283,15 +283,6 @@ class OptimizerState:
         self.rep_offset = np.arange(m)
         self.direction = np.empty((m, dim))
         self.scratch = np.empty((m, dim))
-
-    @property
-    def iterate(self) -> np.ndarray:
-        """The iterate of replication 0, a view into ``x``."""
-        return self.x[0]
-
-    @iterate.setter
-    def iterate(self, value) -> None:
-        self.x[0] = value
 
     @property
     def sampler(self) -> IndexSampler | None:
@@ -493,7 +484,7 @@ def diagnostics(
         return DiagnosticsSnapshot(state.n, None, None, None, None,
                                    grad_eval_norm, None)
     table_ref, f_ref = _ref_quantities(problem, x_ref)
-    x = state.iterate
+    x = state.x[0]
     diff = x - np.asarray(x_ref, dtype=float)
     v_n = float(diff @ diff)
     rows = state.table.rows()[:, 0, :]
@@ -531,7 +522,7 @@ def conditional_step_expectation(
     """
     table_ref, _ = _ref_quantities(problem, x_ref)
     n_comp = problem.n_components
-    copies = OptimizerState(state.table.rows()[:, 0, :], state.iterate, n_comp)
+    copies = OptimizerState(state.table.rows()[:, 0, :], state.x[0], n_comp)
     copies.mean[...] = state.mean
     _steps(copies, problem, lam, (gamma,), np.arange(n_comp)[None, :])
     a_next = ((copies.table.rows() - table_ref[:, None, :]) ** 2).sum(axis=2)
@@ -547,14 +538,13 @@ def run(
     diag_every: int = 1000,
     x_ref: np.ndarray | None = None,
     x0: np.ndarray | None = None,
-    x1: np.ndarray | None = None,
 ) -> RunTrace:
     """Run ``n_iters`` optimizer steps with i.i.d. uniform sampling.
 
     Snapshots are recorded at iteration 1, every ``diag_every`` steps, and at
     the final iterate.  Reference-dependent diagnostics need ``x_ref``; the
-    gradient-evaluation norm is recorded regardless.  Initial points default
-    to the zero vector with x1 = x0.
+    gradient-evaluation norm is recorded regardless.  The table and the
+    iterate both start at ``x0``, the zero vector by default.
     """
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
@@ -565,7 +555,7 @@ def run(
 
     if x0 is None:
         x0 = np.zeros(problem.dim)
-    state = init_state(problem, x0, x1, seed=seed)
+    state = init_state(problem, x0, seed=seed)
     start = time.perf_counter()
     trace = RunTrace(
         schedule=schedule,
@@ -573,7 +563,7 @@ def run(
         seed=seed,
         problem_descriptor=problem.describe(),
         x0=np.asarray(x0, dtype=float).copy(),
-        x1=state.iterate.copy(),
+        x1=state.x[0].copy(),
     )
 
     def record(state):
@@ -587,7 +577,7 @@ def run(
     )
     if trace.snapshots[-1].n != state.n:
         record(state)
-    trace.final_iterate = state.iterate.copy()
+    trace.final_iterate = state.x[0].copy()
     trace.wall_time_s = time.perf_counter() - start
     return trace
 
@@ -613,19 +603,17 @@ def write_trace_csv(trace: RunTrace, path) -> None:
             )
 
 
-def trace_metadata(trace: RunTrace) -> dict:
-    return {
+def write_trace_metadata(trace: RunTrace, path) -> None:
+    """What reproduces the run, as sorted JSON.  The wall time is left out,
+    so that the file is byte-reproducible."""
+    meta = {
         "schedule": {"c": trace.schedule.c, "alpha": trace.schedule.alpha},
         "lambda": trace.lam,
         "seed": trace.seed,
         "problem": trace.problem_descriptor,
         "x0": None if trace.x0 is None else trace.x0.tolist(),
         "x1": None if trace.x1 is None else trace.x1.tolist(),
-        "wall_time_s": trace.wall_time_s,
     }
-
-
-def write_trace_metadata(trace: RunTrace, path) -> None:
     with open(path, "w") as fh:
-        json.dump(trace_metadata(trace), fh, indent=2)
+        json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

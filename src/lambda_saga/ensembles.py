@@ -36,7 +36,9 @@ class EnsembleResult:
     """Per-replication outputs of a batched run.
 
     ``checkpoint_*`` dictionaries map an iteration index n (state counter,
-    so n = n_iters + 1 is the final state) to an array over replications.
+    so n = n_iters + 1 is the final state) to an array over replications:
+    the (M, d) iterates at every checkpoint and, for a run with ``x_ref``,
+    the squared errors and value gaps.
     """
 
     seeds: list[int]
@@ -45,7 +47,6 @@ class EnsembleResult:
     checkpoint_iterates: dict[int, np.ndarray] = field(default_factory=dict)
     checkpoint_sq_error: dict[int, np.ndarray] = field(default_factory=dict)
     checkpoint_value_gap: dict[int, np.ndarray] = field(default_factory=dict)
-    checkpoint_grad_eval_norm: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def derive_seeds(base_seed: int, m_replications: int) -> list[int]:
@@ -62,14 +63,13 @@ def run_ensemble(
     x_ref: np.ndarray | None = None,
     checkpoints: tuple[int, ...] = (),
     x0: np.ndarray | None = None,
-    keep_checkpoint_iterates: bool = False,
     workers: int = 1,
 ) -> EnsembleResult:
     """Run ``m_replications`` independent optimizer runs of ``n_iters`` steps.
 
-    ``checkpoints`` are state counters n at which per-replication squared
-    errors (needs ``x_ref``), value gaps, and table-mean norms are recorded;
-    n ranges over 2..n_iters + 1 for a run of n_iters steps.
+    ``checkpoints`` are state counters n at which the iterates and, with
+    ``x_ref``, the squared errors and value gaps of every replication are
+    recorded; n ranges over 2..n_iters + 1 for a run of n_iters steps.
     """
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
@@ -77,6 +77,8 @@ def run_ensemble(
         raise ValueError("m_replications must be positive")
     if n_iters < 1:
         raise ValueError("n_iters must be positive")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     bad = [n for n in checkpoints if not (2 <= n <= n_iters + 1)]
     if bad:
         raise ValueError(
@@ -84,11 +86,9 @@ def run_ensemble(
         )
 
     seeds = derive_seeds(base_seed, m_replications)
-    if workers <= 1 or m_replications < 2 * workers:
-        return _run_chunk(
-            problem, lam, schedule, n_iters, seeds, 0, x_ref,
-            tuple(checkpoints), x0, keep_checkpoint_iterates,
-        )
+    if workers == 1 or m_replications < 2 * workers:
+        return _run_chunk(problem, lam, schedule, n_iters, seeds, 0, x_ref,
+                          tuple(checkpoints), x0)
 
     chunks = np.array_split(np.arange(m_replications), workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -97,7 +97,7 @@ def run_ensemble(
                 _run_chunk,
                 problem, lam, schedule, n_iters,
                 [seeds[i] for i in chunk], int(chunk[0]), x_ref,
-                tuple(checkpoints), x0, keep_checkpoint_iterates,
+                tuple(checkpoints), x0,
             )
             for chunk in chunks
             if len(chunk)
@@ -122,7 +122,6 @@ def _concat_results(parts: list[EnsembleResult]) -> EnsembleResult:
         checkpoint_iterates=cat(lambda p: p.checkpoint_iterates),
         checkpoint_sq_error=cat(lambda p: p.checkpoint_sq_error),
         checkpoint_value_gap=cat(lambda p: p.checkpoint_value_gap),
-        checkpoint_grad_eval_norm=cat(lambda p: p.checkpoint_grad_eval_norm),
     )
 
 
@@ -136,7 +135,6 @@ def _run_chunk(
     x_ref,
     checkpoints,
     x0,
-    keep_checkpoint_iterates,
 ) -> EnsembleResult:
     if x0 is None:
         x0 = np.zeros(problem.dim)
@@ -155,14 +153,10 @@ def _run_chunk(
 
     def record(state):
         x, n_state = state.x, state.n
+        result.checkpoint_iterates[n_state] = x.copy()
         if x_ref is not None:
             result.checkpoint_sq_error[n_state] = ((x - x_ref) ** 2).sum(axis=1)
             result.checkpoint_value_gap[n_state] = problem.values(x) - f_ref
-        result.checkpoint_grad_eval_norm[n_state] = np.linalg.norm(
-            state.mean, axis=1
-        )
-        if keep_checkpoint_iterates:
-            result.checkpoint_iterates[n_state] = x.copy()
 
     _advance(
         state, problem, lam, schedule, n_iters, set(checkpoints), record,

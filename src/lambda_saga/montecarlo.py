@@ -6,6 +6,11 @@ result covers, so it is hard-required here).  :func:`rate_estimate` estimates
 the decay of E ||X_n - x*||^(2p) along the checkpoint grid of an ensemble
 and fits a log-log slope, together with the matching value-gap moments;
 :func:`rate_ensemble` runs the ensemble and estimates one order p.
+
+Two constants fix what no caller varies: ``_BOOTSTRAP_RESAMPLES``, the
+resamples behind a summary's ``stderr``, and ``_BURN_IN``, the least
+checkpoint a slope fit uses, since the first steps, with gamma near c, are
+far from the asymptotic rate.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from .problems import FiniteSumProblem
 from .schedule import StepSchedule, validate_rate_conditions
 
 _CLT_SCHEDULE = StepSchedule(c=1.0, alpha=1.0)
+_BOOTSTRAP_RESAMPLES = 1000
+_BURN_IN = 100
 
 
 @dataclass(frozen=True)
@@ -58,7 +65,6 @@ def clt_ensemble(
     m_replications: int,
     base_seed: int,
     x_ref: np.ndarray,
-    bootstrap_resamples: int = 1000,
     workers: int = 1,
     scaled_errors_out: np.ndarray | None = None,
 ) -> MonteCarloSummary:
@@ -78,9 +84,7 @@ def clt_ensemble(
     scaled = np.sqrt(n_iters) * (result.final_iterates - x_ref)
     if scaled_errors_out is not None:
         scaled_errors_out[:] = scaled
-    return summarize_scaled_errors(
-        scaled, lam, n_iters, base_seed, bootstrap_resamples
-    )
+    return summarize_scaled_errors(scaled, lam, n_iters, base_seed)
 
 
 def summarize_scaled_errors(
@@ -88,7 +92,6 @@ def summarize_scaled_errors(
     lam: float,
     n_iters: int,
     base_seed: int,
-    bootstrap_resamples: int = 1000,
 ) -> MonteCarloSummary:
     """Build a MonteCarloSummary from an (M, d) array of scaled errors."""
     m = scaled.shape[0]
@@ -98,7 +101,7 @@ def summarize_scaled_errors(
     sigma2 = float(h_values.var(ddof=1))
 
     rng = np.random.default_rng(base_seed ^ 0x5EED_B007)
-    resampled = rng.integers(0, m, size=(bootstrap_resamples, m))
+    resampled = rng.integers(0, m, size=(_BOOTSTRAP_RESAMPLES, m))
     boot = h_values[resampled].var(axis=1, ddof=1)
     return MonteCarloSummary(
         m_replications=m,
@@ -116,7 +119,7 @@ class RateEstimate:
     """Moment decay estimates along a checkpoint grid.
 
     ``slope`` is the least-squares slope of log(moment) against log(n) over
-    the checkpoints at or above ``burn_in``; ``slope_ci`` its ~95% half
+    the checkpoints at or above ``_BURN_IN``; ``slope_ci`` its ~95% half
     width.  ``scaled_sup_ratio`` is max over checkpoints of
     moment * n^(p * alpha) normalized by its value at the first checkpoint, a
     proxy for the boundedness of the rate constant.  ``value_gap_*`` are the
@@ -202,7 +205,6 @@ def rate_ensemble(
     base_seed: int,
     x_ref: np.ndarray,
     mu: float | None = None,
-    burn_in: int = 100,
     workers: int = 1,
 ) -> RateEstimate:
     """:func:`rate_estimate` of M replications run to the last checkpoint."""
@@ -211,7 +213,7 @@ def rate_ensemble(
         problem, lam, schedule, checkpoints[-1] - 1, m_replications, base_seed,
         x_ref=x_ref, checkpoints=checkpoints, workers=workers,
     )
-    return rate_estimate(result, lam, schedule, p, mu, burn_in)
+    return rate_estimate(result, lam, schedule, p, mu)
 
 
 def rate_estimate(
@@ -220,17 +222,21 @@ def rate_estimate(
     schedule: StepSchedule,
     p: int,
     mu: float | None = None,
-    burn_in: int = 100,
 ) -> RateEstimate:
     """Estimate E ||X_n - x*||^(2p) at each checkpoint of an ensemble run
     with ``x_ref``.
 
     When ``mu`` is given the rate-guarantee inequalities are checked;
-    violations are recorded as warnings.  Checkpoints below ``burn_in`` are
+    violations are recorded as warnings.  Checkpoints below ``_BURN_IN`` are
     kept in the moment table but excluded from the slope fit.  A nonpositive
     moment (exact convergence) leaves the slope undefined rather than
     failing.  One ensemble serves every moment order.
     """
+    if result.checkpoint_iterates and not result.checkpoint_sq_error:
+        raise ValueError(
+            "the ensemble recorded no squared errors at its checkpoints; "
+            "run it with x_ref"
+        )
     checkpoints = check_rate_inputs(result.checkpoint_sq_error, (p,), mu)
     warnings: list[str] = []
     condition_report: dict = {}
@@ -247,9 +253,9 @@ def rate_estimate(
         float(np.mean(result.checkpoint_value_gap[n] ** p)) for n in checkpoints
     )
 
-    fit_ns = [n for n in checkpoints if n >= burn_in]
-    fit_moments = [m for n, m in zip(checkpoints, moments) if n >= burn_in]
-    fit_gaps = [g for n, g in zip(checkpoints, gap_moments) if n >= burn_in]
+    fit_ns = [n for n in checkpoints if n >= _BURN_IN]
+    fit_moments = [m for n, m in zip(checkpoints, moments) if n >= _BURN_IN]
+    fit_gaps = [g for n, g in zip(checkpoints, gap_moments) if n >= _BURN_IN]
 
     def safe_fit(ns, vals, label):
         if len(ns) < 2:

@@ -40,11 +40,17 @@ class MinimizerError(ProblemError):
 class FiniteSumProblem:
     """Base class for finite-sum objectives.
 
-    Subclasses must set ``n_components`` (N) and ``dim`` (d) and implement
-    ``component_value`` and ``component_gradient``.  The batched hooks have
-    generic loop fallbacks; concrete problems override them with vectorized
-    versions because the optimizer and the Monte-Carlo ensembles run through
-    them in hot loops.
+    A family sets ``n_components`` (N) and ``dim`` (d) and implements the
+    hooks, vectorized where batched because the optimizer and the
+    Monte-Carlo ensembles run through them in hot loops:
+
+    * ``component_value(k, x)`` and ``component_gradient(k, x)``, one
+      component at one point;
+    * ``value(x)`` and ``full_gradient(x)``, the objective at one point;
+    * ``gradient_table(x)``, all component gradients at one point, (N, d);
+    * ``component_gradients(ks, xs)``, the gradient of component ks[i] at
+      row xs[i], (B,) and (B, d) -> (B, d);
+    * ``values(xs)``, the objective at each row of xs, (B, d) -> (B,).
 
     Instances are immutable after construction and safe for concurrent reads.
     """
@@ -57,39 +63,11 @@ class FiniteSumProblem:
     secant_constant: float | None = None
     metadata: dict = {}
 
-    # -- scalar interface -------------------------------------------------
-
     def component_value(self, k: int, x: np.ndarray) -> float:
         raise NotImplementedError
 
     def component_gradient(self, k: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def value(self, x: np.ndarray) -> float:
-        return float(
-            np.mean([self.component_value(k, x) for k in range(self.n_components)])
-        )
-
-    def full_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.gradient_table(x).mean(axis=0)
-
-    # -- batched interface -------------------------------------------------
-
-    def gradient_table(self, x: np.ndarray) -> np.ndarray:
-        """All component gradients at one point, shape (N, d)."""
-        return np.stack(
-            [self.component_gradient(k, x) for k in range(self.n_components)]
-        )
-
-    def component_gradients(self, ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Gradient of component ks[i] at row xs[i]; shapes (B,), (B, d) -> (B, d)."""
-        return np.stack(
-            [self.component_gradient(int(k), x) for k, x in zip(ks, xs)]
-        )
-
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        """Objective value at each row of xs, shape (B, d) -> (B,)."""
-        return np.array([self.value(x) for x in xs])
 
     # -- optional structure -------------------------------------------------
 
@@ -405,6 +383,8 @@ def check_assumptions(
     reference minimizer at several radii.  A missing reference minimizer is
     an error; a missing Hessian only blanks out ``rho``.
     """
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     try:
         x_star = problem.reference_minimizer()
     except NotImplementedError as exc:

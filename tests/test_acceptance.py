@@ -26,7 +26,6 @@ from lambda_saga import (
     gamma_matrix,
     init_state,
     lambda_saga_step,
-    min_eigenvalue,
     quadrature_covariance,
     random_logistic,
     random_quadratic,
@@ -140,11 +139,11 @@ def test_criterion_02_conditional_identities(quad_5d):
         # random iterate.
         state = init_state(quad_5d, rng.standard_normal(5))
         for _ in range(13):
-            state.iterate = rng.standard_normal(5)
+            state.x[0] = rng.standard_normal(5)
             lambda_saga_step(state, quad_5d, rng.random(), rng.random(),
                              int(rng.integers(n)))
-        state.iterate = rng.standard_normal(5)
-        x = state.iterate.copy()
+        state.x[0] = rng.standard_normal(5)
+        x = state.x[0].copy()
         gamma = rng.random()
         snap = diagnostics(state, quad_5d, x_star)
         closed = snap.tau2 / n + (1.0 - 1.0 / n) * snap.a_n
@@ -279,7 +278,7 @@ def test_criterion_08_lyapunov_solver():
         ) / max(1.0, np.linalg.norm(gamma))
         worst_resid = max(worst_resid, float(resid))
 
-        horizon = required_horizon(min_eigenvalue(h)) * 1.05
+        horizon = required_horizon(cov.rho) * 1.05
         quad = quadrature_covariance(h, gamma, lam, horizon, 6000)
         worst_gap = max(worst_gap, float(np.linalg.norm(cov.sigma - quad)))
     elapsed = time.perf_counter() - start

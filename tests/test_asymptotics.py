@@ -5,7 +5,6 @@ from lambda_saga import (
     CovarianceError,
     QuadraticProblem,
     gamma_matrix,
-    min_eigenvalue,
     quadrature_covariance,
     random_quadratic,
     required_horizon,
@@ -24,27 +23,6 @@ def random_admissible(rng, d=None):
     gamma = a @ a.T / d
     lam = float(rng.uniform(0.0, 1.0))
     return h, gamma, lam
-
-
-class TestMinEigenvalue:
-    def test_identity(self):
-        assert min_eigenvalue(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_diagonal(self):
-        assert min_eigenvalue(np.diag([0.4, 2.0])) == pytest.approx(0.4, abs=1e-12)
-
-    def test_matches_characteristic_polynomial_2d(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            a = rng.standard_normal((2, 2))
-            h = (a + a.T) / 2
-            tr, det = np.trace(h), np.linalg.det(h)
-            root = (tr - np.sqrt(tr**2 - 4 * det)) / 2
-            assert min_eigenvalue(h) == pytest.approx(root, abs=1e-10)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(CovarianceError, match="asymmetric"):
-            min_eigenvalue(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 class TestGammaMatrix:
@@ -145,8 +123,7 @@ class TestQuadratureCovariance:
         rng = np.random.default_rng(6)
         for _ in range(20):
             h, gamma, lam = random_admissible(rng)
-            rho = min_eigenvalue(h)
-            horizon = required_horizon(rho) * 1.05
-            direct = solve_lyapunov(h, gamma, lam).sigma
+            direct = solve_lyapunov(h, gamma, lam)
+            horizon = required_horizon(direct.rho) * 1.05
             quad = quadrature_covariance(h, gamma, lam, horizon, 6000)
-            assert np.linalg.norm(direct - quad) <= 1e-6
+            assert np.linalg.norm(direct.sigma - quad) <= 1e-6

@@ -112,10 +112,10 @@ def scrambled_state(problem, rng, steps):
     iterates with random steps, and whose iterate is random."""
     state = init_state(problem, rng.standard_normal(problem.dim))
     for _ in range(steps):
-        state.iterate = rng.standard_normal(problem.dim)
+        state.x[0] = rng.standard_normal(problem.dim)
         lambda_saga_step(state, problem, rng.random(), rng.random(),
                          int(rng.integers(problem.n_components)))
-    state.iterate = rng.standard_normal(problem.dim)
+    state.x[0] = rng.standard_normal(problem.dim)
     return state
 
 
@@ -182,7 +182,7 @@ class TestInitState:
 
     def test_separate_x1(self, tiny_quadratic):
         state = init_state(tiny_quadratic, np.array([2.0]), np.array([-5.0]))
-        assert state.iterate[0] == -5.0
+        assert state.x[0, 0] == -5.0
 
     def test_dimension_mismatch(self, tiny_quadratic):
         with pytest.raises(ValueError):
@@ -196,7 +196,7 @@ class TestStep:
     def test_hand_evaluated_updates(self, tiny_quadratic, lam, expected):
         state = init_state(tiny_quadratic, np.array([2.0]))
         lambda_saga_step(state, tiny_quadratic, lam, gamma=1.0, k=0)
-        assert state.iterate[0] == expected
+        assert state.x[0, 0] == expected
         assert state.n == 2
 
     def test_row_updated_with_old_iterate_gradient(self, tiny_quadratic):
@@ -265,14 +265,14 @@ class TestConditionalStepExpectation:
         for _ in range(100):
             state = scrambled_state(problem, rng, 17)
             gamma = rng.random()
-            x = state.iterate.copy()
+            x = state.x[0].copy()
             expected_x, _ = conditional_step_expectation(
                 state, problem, lam, gamma, x_star
             )
             # The table terms average out: E[X_{n+1}] = X_n - gamma grad f(X_n).
             target = x - gamma * problem.full_gradient(x)
             assert np.abs(expected_x - target).max() <= 1e-12
-            assert np.array_equal(state.iterate, x) and state.n == 18
+            assert np.array_equal(state.x[0], x) and state.n == 18
 
     def test_a_recursion_matches_closed_form(self):
         problem = random_quadratic(25, 3, seed=5)
@@ -292,7 +292,7 @@ class TestConditionalStepExpectation:
         problem = random_quadratic(10, 2, seed=7)
         x_star = problem.reference_minimizer()
         state = init_state(problem, x_star)
-        state.iterate = np.array([3.0, -1.0])
+        state.x[0] = np.array([3.0, -1.0])
         snap = diagnostics(state, problem, x_star)
         _, expected_a = conditional_step_expectation(state, problem, 0.5, 0.1,
                                                      x_star)
@@ -419,4 +419,5 @@ class TestTraceSerialization:
         assert meta["lambda"] == 0.25
         assert meta["seed"] == 6
         assert meta["problem"]["type"] == "quadratic"
-        assert meta["wall_time_s"] > 0
+        # Sorted keys and no wall time: the file is byte-reproducible.
+        assert list(meta) == sorted(meta) and "wall_time_s" not in meta

@@ -9,6 +9,7 @@ from lambda_saga import (
     QuadraticProblem,
     RunError,
     StepSchedule,
+    check_assumptions,
     derive_seeds,
     random_logistic,
     random_quadratic,
@@ -71,8 +72,7 @@ class TestReplicationSemantics:
         problem = random_quadratic(10, 2, seed=4)
         x_ref = problem.reference_minimizer()
         result = run_ensemble(problem, 1.0, StepSchedule(1.0, 1.0), 100, 3,
-                              base_seed=0, x_ref=x_ref, checkpoints=(11, 51, 101),
-                              keep_checkpoint_iterates=True)
+                              base_seed=0, x_ref=x_ref, checkpoints=(11, 51, 101))
         assert set(result.checkpoint_sq_error) == {11, 51, 101}
         for n, iterates in result.checkpoint_iterates.items():
             sq = ((iterates - x_ref) ** 2).sum(axis=1)
@@ -120,6 +120,21 @@ class TestReplicationSemantics:
                          base_seed=0, workers=workers)
 
 
+@pytest.mark.parametrize("argument, value", [
+    ("workers", 0), ("workers", -5), ("sample_count", 0), ("sample_count", -3),
+])
+def test_library_counts_below_one_named(argument, value):
+    problem = random_quadratic(5, 2, 1)
+    calls = {
+        "workers": lambda: run_ensemble(problem, 0.5, StepSchedule(1.0, 1.0),
+                                        10, 4, 0, workers=value),
+        "sample_count": lambda: check_assumptions(problem, sample_count=value),
+    }
+    with pytest.raises(ValueError,
+                       match=f"{argument} must be at least 1, got {value}"):
+        calls[argument]()
+
+
 @settings(deadline=None, max_examples=20)
 @given(
     n_comp=st.integers(1, 30),
@@ -147,17 +162,14 @@ def test_ensemble_matches_scalar_runs_and_workers_bitwise(
     schedule = StepSchedule(c, alpha)
     checkpoint = 2 + int(checkpoint_at * (n_iters - 1))
     checkpoints = tuple(sorted({checkpoint, n_iters + 1}))
-    kwargs = dict(checkpoints=checkpoints, keep_checkpoint_iterates=True)
     serial = run_ensemble(problem, lam, schedule, n_iters, m, base_seed,
-                          **kwargs)
+                          checkpoints=checkpoints)
     parallel = run_ensemble(problem, lam, schedule, n_iters, m, base_seed,
-                            workers=2, **kwargs)
+                            checkpoints=checkpoints, workers=2)
     assert np.array_equal(serial.final_iterates, parallel.final_iterates)
     for n in checkpoints:
         assert np.array_equal(serial.checkpoint_iterates[n],
                               parallel.checkpoint_iterates[n])
-        assert np.array_equal(serial.checkpoint_grad_eval_norm[n],
-                              parallel.checkpoint_grad_eval_norm[n])
     for r, seed in enumerate(derive_seeds(base_seed, m)):
         final = run(problem, lam, schedule, n_iters, seed, diag_every=10**9)
         assert np.array_equal(serial.final_iterates[r], final.final_iterate)
@@ -221,8 +233,7 @@ def test_scalar_table_matches_dense_table_bitwise(
     x0 = x0_scale * np.random.default_rng(problem_seed).standard_normal(dim)
     checkpoint = 2 + int(checkpoint_at * (n_iters - 1))
     checkpoints = tuple(sorted({checkpoint, n_iters + 1}))
-    kwargs = dict(x_ref=np.zeros(dim), checkpoints=checkpoints, x0=x0,
-                  keep_checkpoint_iterates=True)
+    kwargs = dict(x_ref=np.zeros(dim), checkpoints=checkpoints, x0=x0)
     schedule = StepSchedule(1.0, alpha)
     scalar = run_ensemble(problem, lam, schedule, n_iters, m, base_seed,
                           **kwargs)
@@ -235,8 +246,7 @@ def test_scalar_table_matches_dense_table_bitwise(
         assert_same_bits(scalar.final_grad_eval_norm,
                          other.final_grad_eval_norm)
         for n in checkpoints:
-            for field in ("checkpoint_iterates", "checkpoint_sq_error",
-                          "checkpoint_grad_eval_norm"):
+            for field in ("checkpoint_iterates", "checkpoint_sq_error"):
                 assert_same_bits(getattr(scalar, field)[n],
                                  getattr(other, field)[n])
 

@@ -9,7 +9,9 @@ from lambda_saga import (
     fit_loglog_slope,
     random_quadratic,
     rate_ensemble,
+    run_ensemble,
 )
+from lambda_saga.montecarlo import rate_estimate
 
 
 @pytest.fixture(scope="module")
@@ -110,10 +112,17 @@ class TestRateEnsemble:
         assert estimate.slope is None
         assert any("nonpositive" in w for w in estimate.warnings)
 
+    def test_run_without_reference_named(self, quad):
+        schedule = StepSchedule(1.0, 1.0)
+        result = run_ensemble(quad, 0.5, schedule, 200, 4, 0,
+                              checkpoints=(50, 201))
+        with pytest.raises(ValueError, match="no squared errors.*x_ref"):
+            rate_estimate(result, 0.5, schedule, 1)
+
     def test_burn_in_drops_early_checkpoints(self, quad):
         estimate = rate_ensemble(
             quad, 0.5, StepSchedule(1.0, 1.0), 1, (10, 50, 2000, 8000), 16, 1,
-            quad.reference_minimizer(), burn_in=100,
+            quad.reference_minimizer(),
         )
         # moments reported for all checkpoints, slope fitted past burn-in only
         assert len(estimate.moments) == 4
