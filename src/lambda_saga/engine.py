@@ -293,19 +293,15 @@ class OptimizerState:
 def init_state(
     problem: FiniteSumProblem,
     x0: np.ndarray,
-    x1: np.ndarray | None = None,
     seed: int | None = None,
 ) -> OptimizerState:
     """Fresh scalar (M = 1) state: table rows are the component gradients at
-    x0, the iterate starts at x1 (default x0), and the counter starts at 1."""
+    x0, the iterate starts at x0, and the counter starts at 1."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise ValueError(f"x0 must have dimension {problem.dim}, got {x0.shape}")
-    x1 = x0 if x1 is None else np.asarray(x1, dtype=float)
-    if x1.shape != (problem.dim,):
-        raise ValueError(f"x1 must have dimension {problem.dim}, got {x1.shape}")
     samplers = () if seed is None else (IndexSampler(seed, problem.n_components),)
-    return OptimizerState(problem.gradient_table(x0), x1, 1, samplers)
+    return OptimizerState(problem.gradient_table(x0), x0, 1, samplers)
 
 
 def _steps(state: OptimizerState, problem, lam, gammas, ks, snapshot_at=(),

@@ -1,7 +1,12 @@
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lambda_saga import DIGIT_SPLIT, DatasetError, LabelRule, load_dataset
+from lambda_saga import DIGIT_SPLIT, DatasetError, LabelRule, datasets, load_dataset
 
 
 def write(tmp_path, name, text):
@@ -12,19 +17,22 @@ def write(tmp_path, name, text):
 
 class TestLabelRule:
     def test_digit_split(self):
-        assert DIGIT_SPLIT.classify(0.0) == 0.0
-        assert DIGIT_SPLIT.classify(4.0) == 0.0
-        assert DIGIT_SPLIT.classify(5.0) == 1.0
-        assert DIGIT_SPLIT.classify(9.0) == 1.0
+        binarized = DIGIT_SPLIT.binarize([0.0, 4.0, 5.0, 9.0])
+        assert np.array_equal(binarized, [0.0, 0.0, 1.0, 1.0])
 
-    def test_outside_domain(self):
-        with pytest.raises(DatasetError, match="outside rule domain"):
-            DIGIT_SPLIT.classify(12.0)
+    def test_outside_domain(self, tmp_path):
+        assert np.isnan(DIGIT_SPLIT.binarize([12.0, 4.5, -1.0])).all()
+        path = write(tmp_path, "labels.csv", "0,1,2\n12,3,4\n")
+        with pytest.raises(DatasetError, match="row 2: label 12.0 outside rule domain"):
+            load_dataset(path)
 
     def test_threshold_constructor(self):
         rule = LabelRule.threshold(1, [0, 1])
-        assert rule.classify(0.0) == 0.0
-        assert rule.classify(1.0) == 1.0
+        assert np.array_equal(rule.binarize([0.0, 1.0]), [0.0, 1.0])
+
+    def test_negative_wins_a_label_in_both(self):
+        rule = LabelRule(negative=frozenset({1.0}), positive=frozenset({1.0, 2.0}))
+        assert np.array_equal(rule.binarize([1.0, 2.0]), [0.0, 1.0])
 
 
 class TestDenseCsv:
@@ -74,6 +82,56 @@ class TestDenseCsv:
         problem = load_dataset(path)
         assert problem.n_components == 2
 
+    def test_label_error_names_the_file_line(self, tmp_path):
+        path = write(tmp_path, "blank.csv", "0,1,2\n\n\n7.5,1,2\n")
+        with pytest.raises(DatasetError, match="row 4: label 7.5 outside rule domain"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("first", ["0", '"0"'], ids=["c-reader", "line-parser"])
+    def test_non_finite_cell_named(self, tmp_path, cell, first):
+        # A quoted cell sends the file to the line parser.
+        path = write(tmp_path, "nan.csv", f"{first},1.0,2.0\n\n5,{cell},2.0\n")
+        with pytest.raises(DatasetError, match="row 3: non-finite cell"):
+            load_dataset(path)
+
+    def test_non_finite_label_named(self, tmp_path):
+        path = write(tmp_path, "nan.csv", "0,1.0,2.0\nnan,1.0,2.0\n")
+        with pytest.raises(DatasetError, match="row 2: non-finite cell"):
+            load_dataset(path)
+
+    def test_c_reader_takes_plain_input(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("plain input reached the line parser")
+
+        monkeypatch.setattr(datasets, "_read_dense_csv_lines", refuse)
+        rows = [f"{i * 0.5:+.17e}; {i % 10} ;{-i}\r\n" for i in range(600)]
+        # Blank lines, one a whole chunk's worth, around the data.
+        text = "\r\n" + "".join(rows[:300]) + "\n" * 400 + "".join(rows[300:]) + "\n"
+        path = write(tmp_path, "plain.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            features, labels, lines = datasets._read_dense_csv(path, 1, ";")
+        assert features.flags.c_contiguous
+        assert np.array_equal(labels, np.arange(600) % 10)
+        assert np.array_equal(features, np.column_stack([np.arange(600) * 0.5, -np.arange(600)]))
+        assert np.array_equal(lines, np.r_[2:302, 702:1002])
+
+    def test_line_named_after_a_quoted_cell_spanning_lines(self, tmp_path):
+        path = write(tmp_path, "quoted.csv", '0,1,2\n1,"3\n",4\n5,x,2\n')
+        with pytest.raises(DatasetError, match="row 4: non-numeric cell"):
+            load_dataset(path)
+
+    def test_bare_carriage_returns(self, tmp_path):
+        # Fewer newlines than rows: the arrays sized from the newline count
+        # would overflow, so the line parser reads the file.
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"0,1,2\r7,3,4\r\r9,5,6")
+        features, labels, lines = datasets._read_dense_csv(path, 0, ",")
+        assert np.array_equal(features, [[1, 2], [3, 4], [5, 6]])
+        assert np.array_equal(labels, [0, 7, 9])
+        assert np.array_equal(lines, [1, 2, 4])
+
 
 class TestSvmlight:
     def test_sparse_rows_materialized(self, tmp_path):
@@ -93,6 +151,22 @@ class TestSvmlight:
         with pytest.raises(DatasetError, match="row 2"):
             load_dataset(path, format="svmlight")
 
+    def test_label_error_names_the_file_line(self, tmp_path):
+        path = write(tmp_path, "data.svm", "0 1:1.0\n\n\n7.5 1:2.0\n")
+        with pytest.raises(DatasetError, match="row 4: label 7.5 outside rule domain"):
+            load_dataset(path, format="svmlight")
+
+    @pytest.mark.parametrize("text, line", [
+        ("0 1:1.5 3:nan\n", 1),
+        ("0 1:1.0\n\n5 2:inf\n", 3),
+        ("0 1:1.0\n5 2:1e400\n", 2),
+        ("0 1:1.0\nnan 1:1.0\n", 2),
+    ])
+    def test_non_finite_cell_named(self, tmp_path, text, line):
+        path = write(tmp_path, "data.svm", text)
+        with pytest.raises(DatasetError, match=f"row {line}: non-finite cell"):
+            load_dataset(path, format="svmlight")
+
     def test_comments_and_blanks(self, tmp_path):
         path = write(tmp_path, "data.svm", "# header\n0 1:1.0\n\n9 1:2.0 # tail\n")
         problem = load_dataset(path, format="svmlight")
@@ -103,3 +177,79 @@ def test_unknown_format(tmp_path):
     path = write(tmp_path, "x.bin", "whatever")
     with pytest.raises(DatasetError, match="unknown dataset format"):
         load_dataset(path, format="parquet")
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8).tobytes()
+
+
+_CELL_FORMATS = ["{!r}", "{:+.17e}", "{:.17g}", "{:.3E}", "{:.6f}", " {!r} ", "{!r}  "]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n_rows=st.integers(1, 600),
+    width=st.integers(2, 6),
+    label_at=st.integers(0, 11),
+    negative_column=st.booleans(),
+    delimiter=st.sampled_from([",", ";"]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    blank_share=st.sampled_from([0.0, 0.05, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_c_reader_matches_line_parser(n_rows, width, label_at, negative_column,
+                                      delimiter, newline, blank_share, seed):
+    """On valid tables, the C reader's arrays equal the line parser's bit for
+    bit, and no warning escapes."""
+    rng = np.random.default_rng(seed)
+    label_column = label_at % width - (width if negative_column else 0)
+    values = rng.standard_normal((n_rows, width)) * 10.0 ** rng.uniform(-320, 300, (n_rows, width))
+    values[:, label_column] = rng.integers(0, 10, n_rows)
+    formats = rng.choice(_CELL_FORMATS, (n_rows, width))
+    lines = []
+    for row, fmts in zip(values, formats):
+        while rng.random() < blank_share:
+            lines.append("")
+        lines.append(delimiter.join(f.format(v) for f, v in zip(fmts, row.tolist())))
+    text = newline.join(lines) + (newline if rng.random() < 0.5 else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = datasets._read_dense_csv(path, label_column, delimiter)
+            problem = load_dataset(path, label_column=label_column, delimiter=delimiter)
+        want = datasets._read_dense_csv_lines(path, label_column, delimiter)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and _bits(g) == _bits(w)
+    assert problem.features.flags.c_contiguous
+    assert _bits(problem.features) == _bits(want[0])
+    assert _bits(problem.labels) == _bits(DIGIT_SPLIT.binarize(want[1]))
+
+
+_MALFORMED = {
+    "ragged": ("0,1,2\n1,3\n", 0, "row 2: expected 3 values, got 2"),
+    "non-numeric": ("0,1,2\n1,x,3\n", 0, "row 2: non-numeric cell"),
+    "quoted": ('0,1,2\n1,"3,5",4\n', 0, "row 2: non-numeric cell"),
+    "empty field": ("0,1,2\n1,,3\n", 0, "row 2: non-numeric cell"),
+    "empty trailing field": ("0,1,2\n1,2,3,\n", 0, "row 2: expected 3 values, got 4"),
+    "# line": ("0,1,2\n#,1,2\n", 0, "row 2: non-numeric cell"),
+    "# line, one cell": ("0,1,2\n# note\n", 0, "row 2: expected 3 values, got 1"),
+    "width < 2": ("0\n1\n", 0, "row 1: need a label and at least one feature"),
+    "label column out of range": ("0,1,2\n", 3, "label column 3 out of range for width 3"),
+    "negative label column out of range": ("0,1,2\n", -4, "label column -4 out of range"),
+    "no rows": ("\n\n", 0, "no rows"),
+    "chunk width change": ("0,1,2\n" * 300 + "0,1,2,3\n", 0, "row 301: expected 3 values, got 4"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MALFORMED))
+def test_malformed_table_named_as_line_parser_names_it(tmp_path, kind):
+    text, label_column, message = _MALFORMED[kind]
+    path = write(tmp_path, "bad.csv", text)
+    with pytest.raises(DatasetError) as want:
+        datasets._read_dense_csv_lines(path, label_column, ",")
+    with pytest.raises(DatasetError) as got:
+        load_dataset(path, label_column=label_column)
+    assert str(got.value) == str(want.value)
+    assert message in str(got.value)

@@ -180,15 +180,9 @@ class TestInitState:
         assert np.array_equal(state.table.rows().ravel(), [-1.0, 1.0])
         assert np.array_equal(state.mean, [[0.0]])
 
-    def test_separate_x1(self, tiny_quadratic):
-        state = init_state(tiny_quadratic, np.array([2.0]), np.array([-5.0]))
-        assert state.x[0, 0] == -5.0
-
     def test_dimension_mismatch(self, tiny_quadratic):
         with pytest.raises(ValueError):
             init_state(tiny_quadratic, np.zeros(2))
-        with pytest.raises(ValueError):
-            init_state(tiny_quadratic, np.zeros(1), np.zeros(3))
 
 
 class TestStep:
