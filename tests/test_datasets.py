@@ -117,6 +117,12 @@ class TestDenseCsv:
         assert np.array_equal(features, np.column_stack([np.arange(600) * 0.5, -np.arange(600)]))
         assert np.array_equal(lines, np.r_[2:302, 702:1002])
 
+    def test_line_parser_takes_what_the_c_reader_refuses(self, tmp_path):
+        path = write(tmp_path, "quoted.csv", '"0",1_000,2\n\n7,"3.5",4\n')
+        problem = load_dataset(path)
+        assert np.array_equal(problem.features, [[1000.0, 2.0], [3.5, 4.0]])
+        assert np.array_equal(problem.labels, [0.0, 1.0])
+
     def test_line_named_after_a_quoted_cell_spanning_lines(self, tmp_path):
         path = write(tmp_path, "quoted.csv", '0,1,2\n1,"3\n",4\n5,x,2\n')
         with pytest.raises(DatasetError, match="row 4: non-numeric cell"):
