@@ -81,12 +81,12 @@ def load_dataset(
         raise DatasetError(f"unknown dataset format {format!r}")
 
     finite = np.isfinite(features).all(axis=1) & np.isfinite(labels)
-    if not finite.all():
-        raise DatasetError(f"{path}: row {lines[finite.argmin()]}: non-finite cell")
     binarized = label_rule.binarize(labels)
-    outside = np.isnan(binarized)
-    if outside.any():
-        i = outside.argmax()
+    bad = ~finite | np.isnan(binarized)
+    if bad.any():
+        i = bad.argmax()
+        if not finite[i]:
+            raise DatasetError(f"{path}: row {lines[i]}: non-finite cell")
         raise DatasetError(
             f"{path}: row {lines[i]}: label {float(labels[i])} outside rule domain"
         )
@@ -154,7 +154,11 @@ def _read_dense_csv(path: Path, label_column: int, delimiter: str):
             rows = end
     if rows == 0:
         return _read_dense_csv_lines(path, label_column, delimiter)
-    return features[:rows], labels[:rows], lines[:rows]
+    features = features[:rows]
+    if capacity - rows >= rows:
+        # Mostly blank lines: do not keep their rows allocated.
+        features = features.copy()
+    return features, labels[:rows], lines[:rows]
 
 
 def _read_dense_csv_lines(path: Path, label_column: int, delimiter: str):

@@ -95,6 +95,15 @@ class TestDenseCsv:
         with pytest.raises(DatasetError, match="row 3: non-finite cell"):
             load_dataset(path)
 
+    def test_first_bad_row_named(self, tmp_path):
+        # A bad label on line 2 comes before a non-finite cell on line 4.
+        path = write(tmp_path, "both.csv", "0,1.0,2.0\n12,1.0,2.0\n\n5,nan,2.0\n")
+        with pytest.raises(DatasetError, match="row 2: label 12.0 outside rule domain"):
+            load_dataset(path)
+        path = write(tmp_path, "both.csv", "0,1.0,2.0\n5,inf,2.0\n\n12,1.0,2.0\n")
+        with pytest.raises(DatasetError, match="row 2: non-finite cell"):
+            load_dataset(path)
+
     def test_non_finite_label_named(self, tmp_path):
         path = write(tmp_path, "nan.csv", "0,1.0,2.0\nnan,1.0,2.0\n")
         with pytest.raises(DatasetError, match="row 2: non-finite cell"):
@@ -116,6 +125,13 @@ class TestDenseCsv:
         assert np.array_equal(labels, np.arange(600) % 10)
         assert np.array_equal(features, np.column_stack([np.arange(600) * 0.5, -np.arange(600)]))
         assert np.array_equal(lines, np.r_[2:302, 702:1002])
+
+    def test_blank_lines_keep_no_feature_rows(self, tmp_path):
+        path = write(tmp_path, "sparse.csv", "".join(f"{i % 10},{i},1\n\n" for i in range(300)))
+        features, labels, lines = datasets._read_dense_csv(path, 0, ",")
+        assert features.flags.owndata and features.shape == (300, 2)
+        assert np.array_equal(features[:, 0], np.arange(300))
+        assert np.array_equal(lines, np.arange(1, 600, 2))
 
     def test_line_parser_takes_what_the_c_reader_refuses(self, tmp_path):
         path = write(tmp_path, "quoted.csv", '"0",1_000,2\n\n7,"3.5",4\n')
@@ -171,6 +187,11 @@ class TestSvmlight:
     def test_non_finite_cell_named(self, tmp_path, text, line):
         path = write(tmp_path, "data.svm", text)
         with pytest.raises(DatasetError, match=f"row {line}: non-finite cell"):
+            load_dataset(path, format="svmlight")
+
+    def test_first_bad_row_named(self, tmp_path):
+        path = write(tmp_path, "data.svm", "0 1:1.0\n12 1:1.0\n\n5 1:nan\n")
+        with pytest.raises(DatasetError, match="row 2: label 12.0 outside rule domain"):
             load_dataset(path, format="svmlight")
 
     def test_comments_and_blanks(self, tmp_path):

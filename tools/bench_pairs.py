@@ -1,19 +1,20 @@
 """Alternating benchmark pairs of two commits, summarised into one JSON record.
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 \
-        --out BENCH.json
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH.json
 
 Exports each commit with ``git archive`` into its own checkout under a
-temporary directory, then, for every workload BENCHMARK.json lists, runs
-``perfbench/run.py --trace 0`` once on each checkout per pair, with the same
-seed on both sides of a pair.  Pairs alternate which side runs first, so
+temporary directory, then, for every workload BENCHMARK.json lists, runs ten
+pairs of ``perfbench/run.py --trace 0``, once on each checkout per pair, with
+the same seed on both sides of a pair.  Pairs alternate which side runs first, so
 that a slow phase of the host lands on both sides alike.  The record holds
 every run (its metrics, correctness, failures and output digest) and, per
 workload and end-to-end metric, each side's median and quartiles, the win
 counts (ties count for neither), whether the change is worse than the parent
 by more than the metric's bound, and whether the gain rule holds: the change
-wins at least nine tenths of the pairs and the medians differ by more than
-the parent's interquartile range.  The benchmark settings (command,
+wins at least nine tenths of the pairs run, the medians differ by more than
+the parent's interquartile range, and the change has no more failed
+operations than the parent.  Medians, quartiles and wins count only the
+pairs in which both runs are correct.  The benchmark settings (command,
 ``run_seconds``, workloads, metrics, bounds) are read from the parent's
 BENCHMARK.json, so both commits run the same benchmark.
 """
@@ -32,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def export(rev: str, dest: Path) -> str:
@@ -81,7 +83,9 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarise(pairs: list, metric: dict) -> dict:
+def summarise(pairs: list, run: int, more_failures: bool, metric: dict) -> dict:
+    """``pairs``: the complete pairs of ``run`` pairs run; ``more_failures``:
+    the change failed more operations than the parent."""
     name, lower = metric["name"], metric["better"] == "lower"
     parent = [p["parent"]["metrics"][name] for p in pairs]
     change = [p["change"]["metrics"][name] for p in pairs]
@@ -99,9 +103,9 @@ def summarise(pairs: list, metric: dict) -> dict:
         "ratio": c["median"] / p["median"] if p["median"] else None,
         "change_wins": wins,
         "parent_wins": sum(m < 0 for m in margins),
-        "pairs": len(pairs),
+        "pairs": run,
         "worse_than_bound": -gain > metric["bound"] * abs(p["median"]),
-        "gain_rule_met": wins >= 0.9 * len(pairs) and gain > p["iqr"],
+        "gain_rule_met": wins >= 0.9 * run and gain > p["iqr"] and not more_failures,
     }
 
 
@@ -109,25 +113,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", required=True, help="git revision of the change")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1,
                         help="pair i runs with seed first-seed + i")
-    parser.add_argument("--workload", action="append",
-                        help="run only this workload (repeatable); default: all")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         checkouts = {side: Path(tmp) / side for side in ("parent", "change")}
         commits = {side: export(getattr(args, side), path)
                    for side, path in checkouts.items()}
         spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
-        workloads = [w["name"] for w in spec["workloads"]]
-        for name in args.workload or ():
-            if name not in workloads:
-                parser.error(f"unknown workload {name!r}; choose from {workloads}")
         record = {
             "parent": commits["parent"],
             "change": commits["change"],
@@ -138,28 +133,32 @@ def main(argv=None) -> int:
             "run_seconds": spec["run_seconds"],
             "workloads": {},
         }
-        for workload in args.workload or workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.first_seed + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = run_once(checkouts[side], spec["command"], workload,
                                           seed, spec["run_seconds"])
-                    print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} {side}: "
+                    print(f"{workload} pair {i + 1}/{PAIRS} seed {seed} {side}: "
                           + "  ".join(f"{k}={v:.4g}"
                                       for k, v in pair[side]["metrics"].items()),
                           flush=True)
                 pairs.append(pair)
             complete = [p for p in pairs
                         if p["parent"]["correct"] and p["change"]["correct"]]
+            failed = {side: sum(p[side]["failed"] for p in pairs)
+                      for side in ("parent", "change")}
             record["workloads"][workload] = {
                 "pairs": pairs,
                 "complete_pairs": len(complete),
+                "failed": failed,
                 "digests_equal": all(p["parent"]["digest"] == p["change"]["digest"]
                                      for p in pairs),
-                "metrics": {m["name"]: summarise(complete, m)
+                "metrics": {m["name"]: summarise(complete, PAIRS,
+                                                 failed["change"] > failed["parent"], m)
                             for m in spec["end_to_end"]} if complete else {},
             }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
