@@ -20,20 +20,22 @@ from .asymptotics import (
 from .datasets import DIGIT_SPLIT, DatasetError, LabelRule, load_dataset
 from .engine import (
     DiagnosticsSnapshot,
+    EnsembleResult,
     IndexSampler,
     OptimizerState,
     RunError,
     RunTrace,
     conditional_step_expectation,
+    derive_seeds,
     diagnostics,
     gaussian_initial_point,
     init_state,
     lambda_saga_step,
     run,
+    run_ensemble,
     write_trace_csv,
     write_trace_metadata,
 )
-from .ensembles import EnsembleResult, derive_seeds, run_ensemble
 from .inequalities import (
     NormPowerConstants,
     RecursionTrace,

@@ -35,9 +35,9 @@ import numpy as np
 from . import __version__
 from .datasets import DIGIT_SPLIT, LabelRule, load_dataset
 from .engine import (
-    RunError, gaussian_initial_point, run, write_trace_csv, write_trace_metadata,
+    RunError, gaussian_initial_point, run, run_ensemble, write_trace_csv,
+    write_trace_metadata,
 )
-from .ensembles import run_ensemble
 from .inequalities import check_norm_power_inequality, cp_dp, recursion_bound_trace
 from .montecarlo import check_rate_inputs, clt_ensemble, rate_estimate
 from .problems import (
@@ -74,7 +74,7 @@ class _Key(NamedTuple):
 
 
 # Every config key, once.  A subcommand's parser has the flags of the keys
-# it reads; each minimum is checked at load, for flags and config files alike.
+# it reads; each value is checked at load, for flags and config files alike.
 _CONFIG_KEYS = {
     "lambdas": _Key([0.0, 0.5, 0.9, 1.0], "--lambda", dict(
         type=float, action="append",
@@ -137,10 +137,53 @@ _COMMAND_KEYS = {
 }
 
 
+def _is_integer(value) -> bool:
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What a config value must be, by the argparse type of its key's flag (a
+# string when the flag sets none) or the type of a flagless key's default.
+# Checkpoints, a string from the flag, may come as a list from a file.
+_KINDS = {
+    int: ("an integer", _is_integer),
+    float: ("a number", lambda v: _is_integer(v) or isinstance(v, float)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    _json_arg: ("a JSON object", lambda v: isinstance(v, dict)),
+    "checkpoints": ("comma-separated counters or a list of integers", lambda v: (
+        all(c.strip().isdigit() for c in v.split(",")) if isinstance(v, str)
+        else isinstance(v, list) and all(map(_is_integer, v)))),
+}
+
+
+def _check_value(key, value):
+    """A CliError naming the key, by its flag if it has one, unless ``value``
+    is None with a None default, or of the key's kind, one of its choices
+    and no less than its minimum."""
+    entry = _CONFIG_KEYS[key]
+    if value is None and entry.default is None or key == "label_rule":
+        return  # _label_rule checks a label rule
+    name, options = entry.flag or key, entry.options
+    if "choices" in options and value not in options["choices"]:
+        raise CliError(f"{name} must be one of {options['choices']}, got {value!r}")
+    listed = options.get("action") == "append"
+    if listed and not isinstance(value, list):
+        raise CliError(f"{name} must be a list, got {value!r}")
+    kind = options.get("type", str) if entry.flag else type(entry.default)
+    what, fits = _KINDS[key if key in _KINDS else kind]
+    for item in value if listed else [value]:
+        if not fits(item):
+            raise CliError(f"{name} must be {what}, got {item!r}")
+        if entry.minimum is not None and item < entry.minimum:
+            raise CliError(f"{name} must be at least {entry.minimum}, got {item!r}")
+
+
 def _load_config(args) -> dict:
     """The keys ``args.subcommand`` reads: defaults, then the config file
     (which may hold any known key, so one file serves several subcommands),
-    then flags."""
+    then flags, each value checked."""
     config = {key: entry.default for key, entry in _CONFIG_KEYS.items()}
     if args.config:
         path = Path(args.config)
@@ -163,12 +206,13 @@ def _load_config(args) -> dict:
             config[key] = value
     config = {key: config[key] for key in _COMMAND_KEYS[args.subcommand]}
     for key, value in config.items():
-        flag, least = _CONFIG_KEYS[key].flag, _CONFIG_KEYS[key].minimum
-        if least is not None and value is not None:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise CliError(f"{flag} must be an integer, got {value!r}")
-            if value < least:
-                raise CliError(f"{flag} must be at least {least}, got {value!r}")
+        _check_value(key, value)
+    lambdas = config.get("lambdas", [])
+    for lam in lambdas:
+        if not 0 <= lam <= 1:
+            raise CliError(f"--lambda must lie in [0, 1], got {lam!r}")
+    if len(set(lambdas)) < len(lambdas):
+        raise CliError(f"--lambda repeats a value: {lambdas}")
     return config
 
 
@@ -194,11 +238,8 @@ def make_problem(config: dict):
             label_column=int(config["label_column"]),
             scale=config["scale"],
         )
-    spec = config["problem"] or {}
-    if not isinstance(spec, dict):
-        raise CliError(f"the problem spec must be a JSON object, got {spec!r}")
     # The default spec supplies the type, n, d and seed a spec leaves out.
-    spec = {**_CONFIG_KEYS["problem"].default, **spec}
+    spec = {**_CONFIG_KEYS["problem"].default, **config["problem"]}
     kind = spec["type"]
     if kind not in _PROBLEM_TYPES:
         raise CliError(f"unknown problem type {kind!r}")
@@ -236,27 +277,21 @@ def _checkpoints(config) -> list[int]:
     """The rates checkpoints: given, or 7 log-spaced from 1e3 to 1e5; times
     the epoch size when one is set."""
     raw = config["checkpoints"]
-    if raw and isinstance(raw, str):
+    if isinstance(raw, str):
         raw = raw.split(",")
-    points = [int(v) for v in raw or np.round(np.logspace(3, 5, 7))]
-    epoch = config["epoch_size"]
-    if epoch:
-        points = [int(p) * int(epoch) for p in points]
-    return sorted(set(points))
+    epoch = int(config["epoch_size"] or 1)
+    return sorted({int(v) * epoch for v in raw or np.round(np.logspace(3, 5, 7))})
 
 
 # -- subcommands --------------------------------------------------------------
 
 
 def _initial_point(config, problem):
-    mode = config["init"]
-    if mode == "zeros":
+    if config["init"] == "zeros":
         return None  # engine default
-    if mode == "gaussian":
-        return gaussian_initial_point(
-            problem.dim, int(config["seed"]), float(config["init_scale"])
-        )
-    raise CliError(f"unknown init mode {mode!r} (choose zeros or gaussian)")
+    return gaussian_initial_point(
+        problem.dim, int(config["seed"]), float(config["init_scale"])
+    )
 
 
 def cmd_run(config, out: Path):

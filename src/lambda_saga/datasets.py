@@ -62,21 +62,20 @@ def load_dataset(
     format: str = "dense-csv",
     label_rule: LabelRule = DIGIT_SPLIT,
     label_column: int = 0,
-    delimiter: str = ",",
     scale: float | None = None,
-    n_features: int | None = None,
 ) -> LogisticProblem:
     """Load a binary-classification dataset into a LogisticProblem.
 
+    CSV cells are comma-separated; svmlight rows are as wide as the largest index.
     ``scale``, when given, multiplies every feature (e.g. 1/255 for pixel
     data) and is recorded in the problem metadata; scaling is never implicit.
     Every error names the file line at fault, blank lines counted.
     """
     path = Path(path)
     if format == "dense-csv":
-        features, labels, lines = _read_dense_csv(path, label_column, delimiter)
+        features, labels, lines = _read_dense_csv(path, label_column)
     elif format == "svmlight":
-        features, labels, lines = _read_svmlight(path, n_features)
+        features, labels, lines = _read_svmlight(path)
     else:
         raise DatasetError(f"unknown dataset format {format!r}")
 
@@ -109,7 +108,7 @@ def load_dataset(
 _CHUNK_LINES = 64
 
 
-def _read_dense_csv(path: Path, label_column: int, delimiter: str):
+def _read_dense_csv(path: Path, label_column: int):
     """Features, labels and the file line of each row, parsed by numpy's C
     reader into arrays sized from the file's newline count.
 
@@ -134,26 +133,26 @@ def _read_dense_csv(path: Path, label_column: int, delimiter: str):
             if at.size == 0:
                 continue
             try:
-                table = np.loadtxt(chunk, delimiter=delimiter, ndmin=2, comments=None)
-            except (TypeError, ValueError):  # TypeError: a delimiter numpy refuses
-                return _read_dense_csv_lines(path, label_column, delimiter)
+                table = np.loadtxt(chunk, delimiter=",", ndmin=2, comments=None)
+            except ValueError:
+                return _read_dense_csv_lines(path, label_column)
             if rows == 0:
                 width = table.shape[1]
                 if width < 2 or not (-width <= label_column < width):
-                    return _read_dense_csv_lines(path, label_column, delimiter)
+                    return _read_dense_csv_lines(path, label_column)
                 label_at = label_column % width
                 features = np.empty((capacity, width - 1))
                 labels = np.empty(capacity)
             end = rows + at.size
             if table.shape != (at.size, width) or end > capacity:
-                return _read_dense_csv_lines(path, label_column, delimiter)
+                return _read_dense_csv_lines(path, label_column)
             lines[rows:end] = at
             labels[rows:end] = table[:, label_at]
             features[rows:end, :label_at] = table[:, :label_at]
             features[rows:end, label_at:] = table[:, label_at + 1:]
             rows = end
     if rows == 0:
-        return _read_dense_csv_lines(path, label_column, delimiter)
+        return _read_dense_csv_lines(path, label_column)
     features = features[:rows]
     if capacity - rows >= rows:
         # Mostly blank lines: do not keep their rows allocated.
@@ -161,7 +160,7 @@ def _read_dense_csv(path: Path, label_column: int, delimiter: str):
     return features, labels[:rows], lines[:rows]
 
 
-def _read_dense_csv_lines(path: Path, label_column: int, delimiter: str):
+def _read_dense_csv_lines(path: Path, label_column: int):
     """The reference parser of ``_read_dense_csv``: one ``float`` per cell
     through ``csv.reader``.  It produces every dense-CSV ``DatasetError``."""
     # Values go straight into flat arrays of doubles; nested lists of
@@ -171,7 +170,7 @@ def _read_dense_csv_lines(path: Path, label_column: int, delimiter: str):
     lines = array("q")
     width = None
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         start = 1
         for record in reader:
             # A quoted cell can span lines: name the line the record starts on.
@@ -207,7 +206,7 @@ def _read_dense_csv_lines(path: Path, label_column: int, delimiter: str):
     )
 
 
-def _read_svmlight(path: Path, n_features: int | None):
+def _read_svmlight(path: Path):
     # "label idx:val ..." with 1-based indices, materialized densely.
     entries = []
     labels = []
@@ -240,10 +239,7 @@ def _read_svmlight(path: Path, n_features: int | None):
             lines.append(i)
     if not entries:
         raise DatasetError(f"{path}: no rows")
-    d = n_features if n_features is not None else max_idx
-    if max_idx > d:
-        raise DatasetError(f"{path}: feature index {max_idx} exceeds n_features={d}")
-    features = np.zeros((len(entries), d))
+    features = np.zeros((len(entries), max_idx))
     for row, pairs in enumerate(entries):
         for idx, val in pairs:
             features[row, idx - 1] = val

@@ -21,9 +21,9 @@ The step is written once, in ``_steps``, for M replications at a time: an
 :class:`OptimizerState` holds (M, d) iterates and table means and the
 gradient tables of all M replications, and ``_advance`` runs the steps in
 blocks of 4,096, each sampler drawing a block's indices in one call.  A
-scalar :func:`run` is the case M = 1; the Monte-Carlo ensembles of
-:mod:`lambda_saga.ensembles` run the same kernel with M replications, so a
-replication of an ensemble is bit for bit the scalar run with its seed.
+scalar :func:`run` is the case M = 1 and :func:`run_ensemble` runs M,
+both started by ``_start`` and driven by ``_drive``, so a replication of an
+ensemble is bit for bit the scalar run with its seed.
 
 The gradient tables of all replications form one component-major table, in
 one of two forms chosen from what the problem's ``gradient_table`` returns:
@@ -68,7 +68,8 @@ import csv
 import json
 import time
 import weakref
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -90,6 +91,11 @@ def _check_seed(seed) -> int:
     if not 0 <= int(seed) < 2**128:
         raise ValueError(f"seed {seed} must lie in [0, 2**128)")
     return int(seed)
+
+
+def _check_lam(lam) -> None:
+    if not (0.0 <= lam <= 1.0):
+        raise ValueError(f"lam must lie in [0, 1], got {lam}")
 
 
 class IndexSampler:
@@ -290,6 +296,19 @@ class OptimizerState:
         return self.samplers[0] if self.samplers else None
 
 
+def _start(problem, x0, seeds) -> OptimizerState:
+    """Fresh state of one replication per seed, replication m drawing from
+    ``IndexSampler(seeds[m])``; with no seeds, one replication without a
+    sampler.  Every replication starts at ``x0``, the zero vector when None.
+    """
+    x0 = np.zeros(problem.dim) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (problem.dim,):
+        raise ValueError(f"x0 must have dimension {problem.dim}, got {x0.shape}")
+    samplers = [IndexSampler(seed, problem.n_components) for seed in seeds]
+    return OptimizerState(problem.gradient_table(x0), x0, max(len(seeds), 1),
+                          samplers)
+
+
 def init_state(
     problem: FiniteSumProblem,
     x0: np.ndarray,
@@ -297,11 +316,7 @@ def init_state(
 ) -> OptimizerState:
     """Fresh scalar (M = 1) state: table rows are the component gradients at
     x0, the iterate starts at x0, and the counter starts at 1."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (problem.dim,):
-        raise ValueError(f"x0 must have dimension {problem.dim}, got {x0.shape}")
-    samplers = () if seed is None else (IndexSampler(seed, problem.n_components),)
-    return OptimizerState(problem.gradient_table(x0), x0, 1, samplers)
+    return _start(problem, x0, () if seed is None else (seed,))
 
 
 def _steps(state: OptimizerState, problem, lam, gammas, ks, snapshot_at=(),
@@ -364,8 +379,7 @@ def lambda_saga_step(
 ) -> OptimizerState:
     """Advance a state one step with sampled index k (every replication
     samples k); mutates and returns ``state``."""
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError(f"lam must lie in [0, 1], got {lam}")
+    _check_lam(lam)
     if not (0 <= k < problem.n_components):
         raise IndexError(f"component index {k} out of range")
     _steps(state, problem, lam, (gamma,), np.array([[k]], dtype=np.int64))
@@ -408,6 +422,19 @@ def _advance(state, problem, lam, schedule, n_iters, snapshot_at, record, name):
                 f"n={n_first + 1}..{state.n}"
             )
         done += block
+
+
+def _drive(state, problem, lam, schedule, n_iters, record_at, record, name,
+           ends=False):
+    """Take ``n_iters`` steps of every replication of ``state``, calling
+    ``record(state)`` at each state counter in ``record_at`` that a step
+    reaches and, with ``ends``, at the first and the last state too, once
+    each.  ``name`` goes to ``_advance``."""
+    if ends:
+        record(state)
+    _advance(state, problem, lam, schedule, n_iters, record_at, record, name)
+    if ends and n_iters and state.n not in record_at:
+        record(state)
 
 
 # -- diagnostics ------------------------------------------------------------------
@@ -542,40 +569,143 @@ def run(
     gradient-evaluation norm is recorded regardless.  The table and the
     iterate both start at ``x0``, the zero vector by default.
     """
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError(f"lam must lie in [0, 1], got {lam}")
+    _check_lam(lam)
     if n_iters < 0:
         raise ValueError("n_iters must be nonnegative")
     if diag_every <= 0:
         raise ValueError("cadence must be positive")
 
-    if x0 is None:
-        x0 = np.zeros(problem.dim)
-    state = init_state(problem, x0, seed=seed)
+    state = _start(problem, x0, (seed,))
     start = time.perf_counter()
     trace = RunTrace(
         schedule=schedule,
         lam=lam,
         seed=seed,
         problem_descriptor=problem.describe(),
-        x0=np.asarray(x0, dtype=float).copy(),
+        x0=state.x[0].copy(),
         x1=state.x[0].copy(),
     )
 
     def record(state):
         trace.snapshots.append(diagnostics(state, problem, x_ref, schedule))
 
-    record(state)
-    _advance(
-        state, problem, lam, schedule, n_iters,
-        range(diag_every, n_iters + 2, diag_every), record,
-        lambda r: f"run with seed {seed}",
-    )
-    if trace.snapshots[-1].n != state.n:
-        record(state)
+    _drive(state, problem, lam, schedule, n_iters,
+           range(diag_every, n_iters + 2, diag_every), record,
+           lambda r: f"run with seed {seed}", ends=True)
     trace.final_iterate = state.x[0].copy()
     trace.wall_time_s = time.perf_counter() - start
     return trace
+
+
+# -- ensembles ----------------------------------------------------------------
+
+
+@dataclass
+class EnsembleResult:
+    """Per-replication outputs of a batched run.
+
+    ``checkpoint_*`` dictionaries map an iteration index n (state counter,
+    so n = n_iters + 1 is the final state) to an array over replications:
+    the (M, d) iterates at every checkpoint and, for a run with ``x_ref``,
+    the squared errors and value gaps.
+    """
+
+    seeds: list[int]
+    final_iterates: np.ndarray
+    final_grad_eval_norm: np.ndarray
+    checkpoint_iterates: dict[int, np.ndarray] = field(default_factory=dict)
+    checkpoint_sq_error: dict[int, np.ndarray] = field(default_factory=dict)
+    checkpoint_value_gap: dict[int, np.ndarray] = field(default_factory=dict)
+
+
+def derive_seeds(base_seed: int, m_replications: int) -> list[int]:
+    return [int(base_seed) ^ m for m in range(m_replications)]
+
+
+def run_ensemble(
+    problem: FiniteSumProblem,
+    lam: float,
+    schedule: StepSchedule,
+    n_iters: int,
+    m_replications: int,
+    base_seed: int,
+    x_ref: np.ndarray | None = None,
+    checkpoints: tuple[int, ...] = (),
+    x0: np.ndarray | None = None,
+    workers: int = 1,
+) -> EnsembleResult:
+    """Run ``m_replications`` independent optimizer runs of ``n_iters`` steps.
+
+    ``checkpoints`` are state counters n at which the iterates and, with
+    ``x_ref``, the squared errors and value gaps of every replication are
+    recorded; n ranges over 2..n_iters + 1 for a run of n_iters steps.
+
+    Replication m has the seed ``base_seed XOR m`` (:func:`derive_seeds`)
+    and is bit for bit the scalar :func:`run` with that seed.  Results are
+    aggregated by replication index, never by completion order, so
+    ``workers`` > 1, which spreads chunks of replications over processes,
+    changes none of them.
+    """
+    _check_lam(lam)
+    if m_replications < 1:
+        raise ValueError("m_replications must be positive")
+    if n_iters < 1:
+        raise ValueError("n_iters must be positive")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    bad = [n for n in checkpoints if not (2 <= n <= n_iters + 1)]
+    if bad:
+        raise ValueError(
+            f"checkpoints {bad} outside the reachable range [2, {n_iters + 1}]"
+        )
+
+    seeds = derive_seeds(base_seed, m_replications)
+    if m_replications < 2 * workers:
+        workers = 1
+    chunks = [
+        (problem, lam, schedule, n_iters, [seeds[i] for i in chunk],
+         int(chunk[0]), x_ref, tuple(checkpoints), x0)
+        for chunk in np.array_split(np.arange(m_replications), workers)
+    ]
+    if workers == 1:
+        return _run_chunk(*chunks[0])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _concat_results(list(pool.map(_run_chunk, *zip(*chunks))))
+
+
+def _concat_results(parts: list[EnsembleResult]) -> EnsembleResult:
+    """One result of the parts' replications, in the parts' order."""
+    def cat(values):
+        if isinstance(values[0], dict):
+            return {n: np.concatenate([v[n] for v in values]) for n in values[0]}
+        return np.concatenate(values)
+
+    return EnsembleResult([s for p in parts for s in p.seeds], *(
+        cat([getattr(p, f.name) for p in parts]) for f in fields(EnsembleResult)[1:]))
+
+
+def _run_chunk(problem, lam, schedule, n_iters, seeds, first_index, x_ref,
+               checkpoints, x0) -> EnsembleResult:
+    """The replications with ``seeds``, the first of them replication
+    ``first_index`` of the ensemble."""
+    state = _start(problem, x0, seeds)
+    iterates, sq_error, value_gap = {}, {}, {}
+    if x_ref is not None:
+        x_ref = np.asarray(x_ref, dtype=float)
+        f_ref = float(problem.value(x_ref))
+
+    def record(state):
+        x, n_state = state.x, state.n
+        iterates[n_state] = x.copy()
+        if x_ref is not None:
+            sq_error[n_state] = ((x - x_ref) ** 2).sum(axis=1)
+            value_gap[n_state] = problem.values(x) - f_ref
+
+    _drive(state, problem, lam, schedule, n_iters, set(checkpoints), record,
+           lambda r: f"replication {first_index + r} (seed {seeds[r]})")
+    return EnsembleResult(list(seeds), state.x,
+                          np.linalg.norm(state.mean, axis=1),
+                          iterates, sq_error, value_gap)
 
 
 # -- trace serialization ----------------------------------------------------

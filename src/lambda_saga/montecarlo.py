@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import EnsembleResult, run_ensemble
+from .engine import EnsembleResult, run_ensemble
 from .problems import FiniteSumProblem
 from .schedule import StepSchedule, validate_rate_conditions
 

@@ -300,6 +300,40 @@ class TestInvalidInputs:
             f"error: --workers must be an integer, got {value!r}\n")
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("command, values, message", [
+        ("clt", {"lambdas": 0.5}, "--lambda must be a list, got 0.5"),
+        ("clt", {"lambdas": ["0.5"]}, "--lambda must be a number, got '0.5'"),
+        ("clt", {"lambdas": [0.0, 1.5], "reps": 2000, "iters": 20000},
+         "--lambda must lie in [0, 1], got 1.5"),
+        ("run", {"lambdas": [0.5, 0.9, 0.5]},
+         "--lambda repeats a value: [0.5, 0.9, 0.5]"),
+        ("clt", {"iters": None}, "--iters must be an integer, got None"),
+        ("clt", {"iters": 2.5}, "--iters must be an integer, got 2.5"),
+        ("clt", {"reps": "x"}, "--reps must be an integer, got 'x'"),
+        ("check", {"p_list": 2}, "--p must be a list, got 2"),
+        ("rates", {"checkpoints": "10,x"},
+         "--checkpoints must be comma-separated counters or a list of integers, "
+         "got '10,x'"),
+        ("run", {"init": "ones"},
+         "--init must be one of ['zeros', 'gaussian'], got 'ones'"),
+        ("run", {"problem": [1]}, "--problem must be a JSON object, got [1]"),
+        ("run", {"label_column": "0"}, "label_column must be an integer, got '0'"),
+        ("clt", {"dump_replications": 1},
+         "dump_replications must be true or false, got 1"),
+    ], ids=["lambdas-scalar", "lambdas-string", "lambda-range", "lambda-repeated",
+            "iters-null", "iters-fraction", "reps-string", "p_list-scalar",
+            "checkpoints-string", "init-choice", "problem-list", "label_column",
+            "dump_replications"])
+    def test_malformed_config_value_named(self, tmp_path, capsys, monkeypatch,
+                                          command, values, message):
+        # Checked at load: no problem is made, so no ensemble runs.
+        monkeypatch.setattr(cli, "make_problem", None)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        assert main([command, "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_negative_seed_named(self, tmp_path, capsys):
         code = main([
             "clt", "--problem", QUAD, "--iters", "10", "--reps", "2",

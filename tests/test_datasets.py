@@ -65,9 +65,9 @@ class TestDenseCsv:
         with pytest.raises(DatasetError, match="row 2"):
             load_dataset(path)
 
-    def test_label_column_and_delimiter(self, tmp_path):
-        path = write(tmp_path, "semi.csv", "1.0;2.0;6\n3.0;4.0;1\n")
-        problem = load_dataset(path, label_column=-1, delimiter=";")
+    def test_label_column(self, tmp_path):
+        path = write(tmp_path, "last.csv", "1.0,2.0,6\n3.0,4.0,1\n")
+        problem = load_dataset(path, label_column=-1)
         assert np.array_equal(problem.labels, [1.0, 0.0])
         assert np.array_equal(problem.features, [[1.0, 2.0], [3.0, 4.0]])
 
@@ -114,13 +114,13 @@ class TestDenseCsv:
             raise AssertionError("plain input reached the line parser")
 
         monkeypatch.setattr(datasets, "_read_dense_csv_lines", refuse)
-        rows = [f"{i * 0.5:+.17e}; {i % 10} ;{-i}\r\n" for i in range(600)]
+        rows = [f"{i * 0.5:+.17e}, {i % 10} ,{-i}\r\n" for i in range(600)]
         # Blank lines, one a whole chunk's worth, around the data.
         text = "\r\n" + "".join(rows[:300]) + "\n" * 400 + "".join(rows[300:]) + "\n"
         path = write(tmp_path, "plain.csv", text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            features, labels, lines = datasets._read_dense_csv(path, 1, ";")
+            features, labels, lines = datasets._read_dense_csv(path, 1)
         assert features.flags.c_contiguous
         assert np.array_equal(labels, np.arange(600) % 10)
         assert np.array_equal(features, np.column_stack([np.arange(600) * 0.5, -np.arange(600)]))
@@ -128,7 +128,7 @@ class TestDenseCsv:
 
     def test_blank_lines_keep_no_feature_rows(self, tmp_path):
         path = write(tmp_path, "sparse.csv", "".join(f"{i % 10},{i},1\n\n" for i in range(300)))
-        features, labels, lines = datasets._read_dense_csv(path, 0, ",")
+        features, labels, lines = datasets._read_dense_csv(path, 0)
         assert features.flags.owndata and features.shape == (300, 2)
         assert np.array_equal(features[:, 0], np.arange(300))
         assert np.array_equal(lines, np.arange(1, 600, 2))
@@ -149,7 +149,7 @@ class TestDenseCsv:
         # would overflow, so the line parser reads the file.
         path = tmp_path / "cr.csv"
         path.write_bytes(b"0,1,2\r7,3,4\r\r9,5,6")
-        features, labels, lines = datasets._read_dense_csv(path, 0, ",")
+        features, labels, lines = datasets._read_dense_csv(path, 0)
         assert np.array_equal(features, [[1, 2], [3, 4], [5, 6]])
         assert np.array_equal(labels, [0, 7, 9])
         assert np.array_equal(lines, [1, 2, 4])
@@ -162,11 +162,6 @@ class TestSvmlight:
         assert problem.dim == 3
         assert np.array_equal(problem.features, [[1.5, 0.0, 2.5], [0.0, -1.0, 0.0]])
         assert np.array_equal(problem.labels, [0.0, 1.0])
-
-    def test_explicit_dimension(self, tmp_path):
-        path = write(tmp_path, "data.svm", "0 1:1.0\n")
-        problem = load_dataset(path, format="svmlight", n_features=5)
-        assert problem.dim == 5
 
     def test_malformed_token_named(self, tmp_path):
         path = write(tmp_path, "data.svm", "0 1:1.0\n5 2:oops\n")
@@ -219,13 +214,12 @@ _CELL_FORMATS = ["{!r}", "{:+.17e}", "{:.17g}", "{:.3E}", "{:.6f}", " {!r} ", "{
     width=st.integers(2, 6),
     label_at=st.integers(0, 11),
     negative_column=st.booleans(),
-    delimiter=st.sampled_from([",", ";"]),
     newline=st.sampled_from(["\n", "\r\n"]),
     blank_share=st.sampled_from([0.0, 0.05, 0.5]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_c_reader_matches_line_parser(n_rows, width, label_at, negative_column,
-                                      delimiter, newline, blank_share, seed):
+                                      newline, blank_share, seed):
     """On valid tables, the C reader's arrays equal the line parser's bit for
     bit, and no warning escapes."""
     rng = np.random.default_rng(seed)
@@ -237,16 +231,16 @@ def test_c_reader_matches_line_parser(n_rows, width, label_at, negative_column,
     for row, fmts in zip(values, formats):
         while rng.random() < blank_share:
             lines.append("")
-        lines.append(delimiter.join(f.format(v) for f, v in zip(fmts, row.tolist())))
+        lines.append(",".join(f.format(v) for f, v in zip(fmts, row.tolist())))
     text = newline.join(lines) + (newline if rng.random() < 0.5 else "")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         path.write_bytes(text.encode())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = datasets._read_dense_csv(path, label_column, delimiter)
-            problem = load_dataset(path, label_column=label_column, delimiter=delimiter)
-        want = datasets._read_dense_csv_lines(path, label_column, delimiter)
+            got = datasets._read_dense_csv(path, label_column)
+            problem = load_dataset(path, label_column=label_column)
+        want = datasets._read_dense_csv_lines(path, label_column)
     for g, w in zip(got, want):
         assert g.shape == w.shape and _bits(g) == _bits(w)
     assert problem.features.flags.c_contiguous
@@ -275,7 +269,7 @@ def test_malformed_table_named_as_line_parser_names_it(tmp_path, kind):
     text, label_column, message = _MALFORMED[kind]
     path = write(tmp_path, "bad.csv", text)
     with pytest.raises(DatasetError) as want:
-        datasets._read_dense_csv_lines(path, label_column, ",")
+        datasets._read_dense_csv_lines(path, label_column)
     with pytest.raises(DatasetError) as got:
         load_dataset(path, label_column=label_column)
     assert str(got.value) == str(want.value)

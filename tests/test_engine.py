@@ -340,6 +340,19 @@ class TestRun:
         assert ns == sorted(set(ns))
         assert ns[0] == 1 and ns[-1] == 2501
 
+    @pytest.mark.parametrize("n_iters, diag_every, expected", [
+        (0, 5, [1]),
+        (0, 1, [1]),
+        (4, 1, [1, 2, 3, 4, 5]),
+        (5, 3, [1, 3, 6]),
+        (3, 10, [1, 4]),
+    ], ids=["no-steps", "no-steps-every-step", "every-step",
+            "cadence-divides-end", "cadence-beyond-end"])
+    def test_snapshot_counters(self, n_iters, diag_every, expected):
+        trace = run(random_quadratic(5, 2, seed=9), 0.5, StepSchedule(1.0, 1.0),
+                    n_iters, seed=0, diag_every=diag_every)
+        assert [s.n for s in trace.snapshots] == expected
+
     def test_cadence_must_be_positive(self):
         problem = random_quadratic(5, 2, seed=9)
         with pytest.raises(ValueError, match="cadence must be positive"):

@@ -135,6 +135,21 @@ def test_library_counts_below_one_named(argument, value):
         calls[argument]()
 
 
+@pytest.mark.parametrize("entry", ["run", "run_ensemble-1", "run_ensemble-2"])
+def test_x0_of_wrong_dimension_named(entry):
+    problem = random_quadratic(5, 2, 1)
+    schedule = StepSchedule(1.0, 1.0)
+    calls = {
+        "run": lambda: run(problem, 0.5, schedule, 10, 0, x0=np.zeros(3)),
+        "run_ensemble-1": lambda: run_ensemble(problem, 0.5, schedule, 10, 4, 0,
+                                               x0=np.zeros(3), workers=1),
+        "run_ensemble-2": lambda: run_ensemble(problem, 0.5, schedule, 10, 4, 0,
+                                               x0=np.zeros(3), workers=2),
+    }
+    with pytest.raises(ValueError, match=r"^x0 must have dimension 2, got \(3,\)$"):
+        calls[entry]()
+
+
 @settings(deadline=None, max_examples=20)
 @given(
     n_comp=st.integers(1, 30),
