@@ -217,7 +217,8 @@ def _load_config(args) -> dict:
 
 
 # Each synthetic problem type: its generator, called with the spec's n, d
-# and seed, and the converters of the generator options a spec may give.
+# and seed, and the converters of the generator options a spec may give,
+# which are also the kinds ``_KINDS`` checks them against.
 _PROBLEM_TYPES = {
     "quadratic": (random_quadratic, {"scale": float}),
     "logistic": (random_logistic,
@@ -249,6 +250,11 @@ def make_problem(config: dict):
     if unknown:
         raise CliError(f"unknown key(s) in the {kind} problem spec: {unknown} "
                        f"(known: {sorted(known)})")
+    for key, kind in {"n": int, "d": int, "seed": int, **options}.items():
+        what, fits = _KINDS[kind]
+        if key in spec and not fits(spec[key]):
+            raise CliError(f"--problem key {key!r} must be {what}, "
+                           f"got {spec[key]!r}")
     given = {key: convert(spec[key]) for key, convert in options.items()
              if key in spec}
     return generator(int(spec["n"]), int(spec["d"]), int(spec["seed"]), **given)

@@ -25,6 +25,13 @@ scalar :func:`run` is the case M = 1 and :func:`run_ensemble` runs M,
 both started by ``_start`` and driven by ``_drive``, so a replication of an
 ensemble is bit for bit the scalar run with its seed.
 
+A block's (4096, M) indices are held in the narrowest unsigned type that
+holds N - 1 (``np.min_scalar_type``: uint8 up to N = 256, uint16 up to
+65,536), an eighth of int64's bytes for small N.  The samplers still draw
+int64 from their unchanged streams and every index is below N, so storing
+it narrows no value.  Only the flat table row k*M + m can exceed the narrow
+type; it is formed in int64 explicitly, never in the indices' own type.
+
 The gradient tables of all replications form one component-major table, in
 one of two forms chosen from what the problem's ``gradient_table`` returns:
 
@@ -281,6 +288,8 @@ class OptimizerState:
         self.mean = np.repeat(_table_mean(rows0[:, None, :]), m, axis=0)
         self.x = np.broadcast_to(np.asarray(x1, dtype=float), (m, dim)).copy()
         self.n_components = n_comp
+        # The dtype of the sampled indices ``_steps`` takes (module docstring).
+        self.index_dtype = np.min_scalar_type(n_comp - 1)
         self.n = 1
         self.samplers = list(samplers)
         self.since_resync = 0
@@ -296,14 +305,20 @@ class OptimizerState:
         return self.samplers[0] if self.samplers else None
 
 
-def _start(problem, x0, seeds) -> OptimizerState:
-    """Fresh state of one replication per seed, replication m drawing from
-    ``IndexSampler(seeds[m])``; with no seeds, one replication without a
-    sampler.  Every replication starts at ``x0``, the zero vector when None.
-    """
+def _initial_point(problem, x0) -> np.ndarray:
+    """``x0`` as a float vector, the zero vector when None, or a ValueError
+    naming its dimension."""
     x0 = np.zeros(problem.dim) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise ValueError(f"x0 must have dimension {problem.dim}, got {x0.shape}")
+    return x0
+
+
+def _start(problem, x0, seeds) -> OptimizerState:
+    """Fresh state of one replication per seed, replication m drawing from
+    ``IndexSampler(seeds[m])``; with no seeds, one replication without a
+    sampler.  Every replication starts at ``x0``, an ``_initial_point``.
+    """
     samplers = [IndexSampler(seed, problem.n_components) for seed in seeds]
     return OptimizerState(problem.gradient_table(x0), x0, max(len(seeds), 1),
                           samplers)
@@ -316,13 +331,15 @@ def init_state(
 ) -> OptimizerState:
     """Fresh scalar (M = 1) state: table rows are the component gradients at
     x0, the iterate starts at x0, and the counter starts at 1."""
-    return _start(problem, x0, () if seed is None else (seed,))
+    return _start(problem, _initial_point(problem, x0),
+                  () if seed is None else (seed,))
 
 
 def _steps(state: OptimizerState, problem, lam, gammas, ks, snapshot_at=(),
            record=None) -> None:
     """Take one step of every replication per entry of ``gammas``: step j
     has step size gammas[j], and replication m samples component ks[j, m].
+    ``ks`` may be of any integer type; its flat table rows are int64.
 
     The iterate update uses the pre-update row and mean; afterwards the row
     is overwritten with the component gradient at the old iterate.  Every
@@ -346,7 +363,8 @@ def _steps(state: OptimizerState, problem, lam, gammas, ks, snapshot_at=(),
         if m == 1:
             flat = k
         else:
-            np.multiply(k, m, out=flat)
+            # k*M overflows a narrow index type, so the product is int64.
+            np.multiply(k, m, out=flat, dtype=np.int64)
             np.add(flat, state.rep_offset, out=flat)
         g_new = table.load(flat, fresh)
         # x -= gamma * ((g_new - lam * row) + lam * mean)
@@ -382,7 +400,7 @@ def lambda_saga_step(
     _check_lam(lam)
     if not (0 <= k < problem.n_components):
         raise IndexError(f"component index {k} out of range")
-    _steps(state, problem, lam, (gamma,), np.array([[k]], dtype=np.int64))
+    _steps(state, problem, lam, (gamma,), np.array([[k]], dtype=state.index_dtype))
     return state
 
 
@@ -397,11 +415,15 @@ def _advance(state, problem, lam, schedule, n_iters, snapshot_at, record, name):
     go to ``_steps``.  Each block of ``_STEP_BLOCK`` steps ends with a
     finiteness check, which names the first replication r with a non-finite
     iterate as ``name(r)``.
+
+    The block's indices and the sampler tile are of ``state.index_dtype``,
+    the narrowest unsigned type holding N - 1: the tile assignment narrows
+    each int64 draw, which lies in [0, N), without changing it.
     """
     m = len(state.x)
     samplers = state.samplers
-    ks = np.empty((min(_STEP_BLOCK, n_iters), m), dtype=np.int64)
-    tile = np.empty((min(_SAMPLER_TILE, m), ks.shape[0]), dtype=np.int64)
+    ks = np.empty((min(_STEP_BLOCK, n_iters), m), dtype=state.index_dtype)
+    tile = np.empty((min(_SAMPLER_TILE, m), ks.shape[0]), dtype=state.index_dtype)
     done = 0
     while done < n_iters:
         block = min(_STEP_BLOCK, n_iters - done)
@@ -547,7 +569,8 @@ def conditional_step_expectation(
     n_comp = problem.n_components
     copies = OptimizerState(state.table.rows()[:, 0, :], state.x[0], n_comp)
     copies.mean[...] = state.mean
-    _steps(copies, problem, lam, (gamma,), np.arange(n_comp)[None, :])
+    _steps(copies, problem, lam, (gamma,),
+           np.arange(n_comp, dtype=copies.index_dtype)[None, :])
     a_next = ((copies.table.rows() - table_ref[:, None, :]) ** 2).sum(axis=2)
     return copies.x.mean(axis=0), float(a_next.mean(axis=0).mean())
 
@@ -575,7 +598,7 @@ def run(
     if diag_every <= 0:
         raise ValueError("cadence must be positive")
 
-    state = _start(problem, x0, (seed,))
+    state = _start(problem, _initial_point(problem, x0), (seed,))
     start = time.perf_counter()
     trace = RunTrace(
         schedule=schedule,
@@ -659,7 +682,9 @@ def run_ensemble(
             f"checkpoints {bad} outside the reachable range [2, {n_iters + 1}]"
         )
 
-    seeds = derive_seeds(base_seed, m_replications)
+    # Checked here, not in each worker, so that a bad input starts no pool.
+    x0 = _initial_point(problem, x0)
+    seeds = [_check_seed(seed) for seed in derive_seeds(base_seed, m_replications)]
     if m_replications < 2 * workers:
         workers = 1
     chunks = [

@@ -10,7 +10,8 @@ and fits a log-log slope, together with the matching value-gap moments;
 Two constants fix what no caller varies: ``_BOOTSTRAP_RESAMPLES``, the
 resamples behind a summary's ``stderr``, and ``_BURN_IN``, the least
 checkpoint a slope fit uses, since the first steps, with gamma near c, are
-far from the asymptotic rate.
+far from the asymptotic rate.  ``_BOOTSTRAP_SLICE`` bounds the draws a
+bootstrap holds at a time.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .schedule import StepSchedule, validate_rate_conditions
 _CLT_SCHEDULE = StepSchedule(c=1.0, alpha=1.0)
 _BOOTSTRAP_RESAMPLES = 1000
 _BURN_IN = 100
+# Most draws of the bootstrap held at once: whole resamples of M draws up to
+# 2**16 values (512 KiB as int64), or one resample if M is larger.
+_BOOTSTRAP_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,14 @@ def summarize_scaled_errors(
     n_iters: int,
     base_seed: int,
 ) -> MonteCarloSummary:
-    """Build a MonteCarloSummary from an (M, d) array of scaled errors."""
+    """Build a MonteCarloSummary from an (M, d) array of scaled errors.
+
+    The bootstrap draws its resamples a slice at a time.  The generator's
+    stream does not depend on how its draws are split into calls (PCG64
+    keeps the unused 32-bit half of an output for the next call), and each
+    resample's variance is reduced over its own row, so ``stderr`` has the
+    bits of drawing all resamples in one call.
+    """
     m = scaled.shape[0]
     sample_cov = np.atleast_2d(np.cov(scaled.T, ddof=1))
     sample_cov = (sample_cov + sample_cov.T) / 2.0
@@ -101,8 +112,12 @@ def summarize_scaled_errors(
     sigma2 = float(h_values.var(ddof=1))
 
     rng = np.random.default_rng(base_seed ^ 0x5EED_B007)
-    resampled = rng.integers(0, m, size=(_BOOTSTRAP_RESAMPLES, m))
-    boot = h_values[resampled].var(axis=1, ddof=1)
+    boot = np.empty(_BOOTSTRAP_RESAMPLES)
+    rows = max(1, _BOOTSTRAP_SLICE // m)
+    for start in range(0, _BOOTSTRAP_RESAMPLES, rows):
+        stop = min(start + rows, _BOOTSTRAP_RESAMPLES)
+        resampled = rng.integers(0, m, size=(stop - start, m))
+        boot[start:stop] = h_values[resampled].var(axis=1, ddof=1)
     return MonteCarloSummary(
         m_replications=m,
         n_iters=n_iters,

@@ -1,7 +1,8 @@
 """The SGD and SAGA updates written step by step, independently of the
 engine, as the references of its bitwise reduction checks.  Each gradient
 comes from the scalar hook ``component_gradient``, not from the batched
-``component_gradients`` the engine steps through."""
+``component_gradients`` the engine steps through.  Also the bootstrap
+standard error drawn in one piece, the reference of the sliced one."""
 
 
 def sgd_reference(problem, schedule, n_iters, indices, x0):
@@ -33,3 +34,10 @@ def saga_reference(problem, schedule, n_iters, indices, x0):
             mean = rows.mean(axis=0)
             updates = 0
     return x
+
+
+def bootstrap_stderr_reference(h, rng, resamples=1000):
+    """Standard error of the variance of ``h`` over ``resamples`` bootstrap
+    resamples, all drawn from ``rng`` in one call."""
+    m = len(h)
+    return h[rng.integers(0, m, (resamples, m))].var(axis=1, ddof=1).std(ddof=1)

@@ -291,6 +291,18 @@ class TestInvalidInputs:
             assert err == f"error: {flag} must be at least {least}, got {value}\n"
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("spec, message", [
+        ('{"n": "x"}', "--problem key 'n' must be an integer, got 'x'"),
+        ('{"d": 2.5}', "--problem key 'd' must be an integer, got 2.5"),
+        ('{"type": "logistic", "feature_scale": "big"}',
+         "--problem key 'feature_scale' must be a number, got 'big'"),
+    ])
+    def test_problem_spec_value_of_wrong_kind_named(self, tmp_path, capsys, spec,
+                                                    message):
+        assert main(["run", "--problem", spec, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["two", [2], True])
     def test_non_integer_config_value_named(self, tmp_path, capsys, value):
         config = tmp_path / "config.json"

@@ -16,6 +16,7 @@ from lambda_saga import (
     run,
     run_ensemble,
 )
+from lambda_saga import engine
 from lambda_saga.engine import _scalar_table_mean, _table_mean
 
 
@@ -135,8 +136,14 @@ def test_library_counts_below_one_named(argument, value):
         calls[argument]()
 
 
+def no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
 @pytest.mark.parametrize("entry", ["run", "run_ensemble-1", "run_ensemble-2"])
-def test_x0_of_wrong_dimension_named(entry):
+def test_x0_of_wrong_dimension_named(entry, monkeypatch):
+    # A bad x0 is found before any worker process starts.
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
     problem = random_quadratic(5, 2, 1)
     schedule = StepSchedule(1.0, 1.0)
     calls = {
@@ -148,6 +155,25 @@ def test_x0_of_wrong_dimension_named(entry):
     }
     with pytest.raises(ValueError, match=r"^x0 must have dimension 2, got \(3,\)$"):
         calls[entry]()
+
+
+def test_bad_seed_named_before_pool_starts(monkeypatch):
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match=r"^seed -1 must lie in \[0, 2\*\*128\)$"):
+        run_ensemble(random_quadratic(5, 2, 1), 0.5, StepSchedule(1.0, 1.0), 10,
+                     4, -1, workers=2)
+
+
+@pytest.mark.parametrize("n_comp, m", [(200, 7), (300, 300)])
+def test_narrow_indices_match_scalar_runs_bitwise(n_comp, m):
+    # Indices are uint8 at N = 200 and uint16 at N = 300, and k*M exceeds
+    # either type, so a flat row formed in the indices' type would wrap.
+    problem = random_quadratic(n_comp, 2, 3)
+    schedule = StepSchedule(1.0, 0.75)
+    result = run_ensemble(problem, 0.5, schedule, 300, m, base_seed=11)
+    for r, seed in enumerate(derive_seeds(11, m)):
+        trace = run(problem, 0.5, schedule, 300, seed, diag_every=10**9)
+        assert_same_bits(result.final_iterates[r], trace.final_iterate)
 
 
 @settings(deadline=None, max_examples=20)
@@ -300,18 +326,19 @@ def test_logistic_ensemble_stores_no_dense_table():
 
 
 def test_samplers_hold_no_draws():
-    # The kernel's (n, M) int64 index block is the largest array of a run
-    # this short; samplers that kept a block of draws each would double it.
+    # The kernel's (n, M) uint8 index block is the largest array of a run
+    # this short.  The bound fails an int64 block, eight times as large, and
+    # samplers that kept a block of int64 draws each.
     problem = random_quadratic(20, 2, 1)
     m, n = 500, 4096
-    index_block_bytes = n * m * 8
+    index_block_bytes = n * m
     tracemalloc.start()
     try:
         run_ensemble(problem, 0.5, StepSchedule(1.0, 1.0), n, m, base_seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * index_block_bytes
+    assert peak < 2 * index_block_bytes
 
 
 class TestConvergenceProxy:

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from references import bootstrap_stderr_reference
 
 from lambda_saga import (
     QuadraticProblem,
@@ -11,7 +14,8 @@ from lambda_saga import (
     rate_ensemble,
     run_ensemble,
 )
-from lambda_saga.montecarlo import rate_estimate
+from lambda_saga import montecarlo
+from lambda_saga.montecarlo import rate_estimate, summarize_scaled_errors
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +64,36 @@ class TestCltEnsemble:
             for n in (100, 1000, 10_000)
         ]
         assert values[0] > values[1] > values[2]
+
+
+class TestBootstrap:
+    @pytest.mark.parametrize("m, slice_values", [
+        (2, montecarlo._BOOTSTRAP_SLICE),
+        # 32 resamples a slice, the last slice partial.
+        (2000, montecarlo._BOOTSTRAP_SLICE),
+        # One resample a slice, as at M > 2**15.
+        (50, 99),
+    ])
+    def test_stderr_equals_one_piece_bootstrap_bitwise(self, monkeypatch, m,
+                                                       slice_values):
+        monkeypatch.setattr(montecarlo, "_BOOTSTRAP_SLICE", slice_values)
+        scaled = np.random.default_rng(m).standard_normal((m, 3))
+        stderr = summarize_scaled_errors(scaled, 0.5, 100, 21).stderr
+        reference = bootstrap_stderr_reference(
+            scaled.sum(axis=1), np.random.default_rng(21 ^ 0x5EED_B007))
+        assert np.float64(stderr).tobytes() == reference.tobytes()
+
+    def test_draws_held_in_slices(self):
+        # Drawn in one piece, the 1000 resamples of M = 2000 hold about
+        # 48 MB: int64 draws, gathered values and the variance's temporary.
+        scaled = np.random.default_rng(0).standard_normal((2000, 2))
+        tracemalloc.start()
+        try:
+            summarize_scaled_errors(scaled, 0.5, 100, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestFitSlope:
