@@ -29,8 +29,9 @@ A block's (4096, M) indices are held in the narrowest unsigned type that
 holds N - 1 (``np.min_scalar_type``: uint8 up to N = 256, uint16 up to
 65,536), an eighth of int64's bytes for small N.  The samplers still draw
 int64 from their unchanged streams and every index is below N, so storing
-it narrows no value.  Only the flat table row k*M + m can exceed the narrow
-type; it is formed in int64 explicitly, never in the indices' own type.
+it narrows no value.  The steps run on intp indices: the block is widened
+64 steps at a time, so the flat table row k*M + m cannot wrap in a narrow
+type and neither ``take`` nor the row arithmetic casts on every step.
 
 The gradient tables of all replications form one component-major table, in
 one of two forms chosen from what the problem's ``gradient_table`` returns:
@@ -288,8 +289,6 @@ class OptimizerState:
         self.mean = np.repeat(_table_mean(rows0[:, None, :]), m, axis=0)
         self.x = np.broadcast_to(np.asarray(x1, dtype=float), (m, dim)).copy()
         self.n_components = n_comp
-        # The dtype of the sampled indices ``_steps`` takes (module docstring).
-        self.index_dtype = np.min_scalar_type(n_comp - 1)
         self.n = 1
         self.samplers = list(samplers)
         self.since_resync = 0
@@ -338,8 +337,8 @@ def init_state(
 def _steps(state: OptimizerState, problem, lam, gammas, ks, snapshot_at=(),
            record=None) -> None:
     """Take one step of every replication per entry of ``gammas``: step j
-    has step size gammas[j], and replication m samples component ks[j, m].
-    ``ks`` may be of any integer type; its flat table rows are int64.
+    has step size gammas[j], and replication m samples component ks[j, m],
+    an intp array.
 
     The iterate update uses the pre-update row and mean; afterwards the row
     is overwritten with the component gradient at the old iterate.  Every
@@ -363,8 +362,7 @@ def _steps(state: OptimizerState, problem, lam, gammas, ks, snapshot_at=(),
         if m == 1:
             flat = k
         else:
-            # k*M overflows a narrow index type, so the product is int64.
-            np.multiply(k, m, out=flat, dtype=np.int64)
+            np.multiply(k, m, out=flat)
             np.add(flat, state.rep_offset, out=flat)
         g_new = table.load(flat, fresh)
         # x -= gamma * ((g_new - lam * row) + lam * mean)
@@ -400,13 +398,15 @@ def lambda_saga_step(
     _check_lam(lam)
     if not (0 <= k < problem.n_components):
         raise IndexError(f"component index {k} out of range")
-    _steps(state, problem, lam, (gamma,), np.array([[k]], dtype=state.index_dtype))
+    _steps(state, problem, lam, (gamma,), np.array([[k]], dtype=np.intp))
     return state
 
 
 # Samplers filled into one tile before its transpose is copied into the
 # (block, M) index array; a column per sampler would be a strided write.
 _SAMPLER_TILE = 64
+# Steps of a block widened to intp at a time: 1 MB at M = 2000.
+_WIDE_STEPS = 64
 
 
 def _advance(state, problem, lam, schedule, n_iters, snapshot_at, record, name):
@@ -416,14 +416,16 @@ def _advance(state, problem, lam, schedule, n_iters, snapshot_at, record, name):
     finiteness check, which names the first replication r with a non-finite
     iterate as ``name(r)``.
 
-    The block's indices and the sampler tile are of ``state.index_dtype``,
-    the narrowest unsigned type holding N - 1: the tile assignment narrows
-    each int64 draw, which lies in [0, N), without changing it.
+    The block's indices and the sampler tile are of the narrowest unsigned
+    type holding N - 1: the tile assignment narrows each int64 draw, which
+    lies in [0, N), without changing it.  ``_steps`` takes them widened to
+    intp, ``_WIDE_STEPS`` steps at a time.
     """
     m = len(state.x)
     samplers = state.samplers
-    ks = np.empty((min(_STEP_BLOCK, n_iters), m), dtype=state.index_dtype)
-    tile = np.empty((min(_SAMPLER_TILE, m), ks.shape[0]), dtype=state.index_dtype)
+    narrow = np.min_scalar_type(state.n_components - 1)
+    ks = np.empty((min(_STEP_BLOCK, n_iters), m), dtype=narrow)
+    tile = np.empty((min(_SAMPLER_TILE, m), ks.shape[0]), dtype=narrow)
     done = 0
     while done < n_iters:
         block = min(_STEP_BLOCK, n_iters - done)
@@ -434,8 +436,12 @@ def _advance(state, problem, lam, schedule, n_iters, snapshot_at, record, name):
             ks[:block, first:first + len(group)] = tile[:len(group), :block].T
         n_first = state.n
         gammas = schedule.gammas(n_first, n_first + block - 1).tolist()
+        block_ks = ks[:block]
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            _steps(state, problem, lam, gammas, ks[:block], snapshot_at, record)
+            for s in range(0, block, _WIDE_STEPS):
+                _steps(state, problem, lam, gammas[s:s + _WIDE_STEPS],
+                       block_ks[s:s + _WIDE_STEPS].astype(np.intp), snapshot_at,
+                       record)
         finite = np.isfinite(state.x).all(axis=1)
         if not finite.all():
             r = int(np.flatnonzero(~finite)[0])
@@ -569,8 +575,7 @@ def conditional_step_expectation(
     n_comp = problem.n_components
     copies = OptimizerState(state.table.rows()[:, 0, :], state.x[0], n_comp)
     copies.mean[...] = state.mean
-    _steps(copies, problem, lam, (gamma,),
-           np.arange(n_comp, dtype=copies.index_dtype)[None, :])
+    _steps(copies, problem, lam, (gamma,), np.arange(n_comp)[None, :])
     a_next = ((copies.table.rows() - table_ref[:, None, :]) ** 2).sum(axis=2)
     return copies.x.mean(axis=0), float(a_next.mean(axis=0).mean())
 

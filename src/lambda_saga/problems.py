@@ -49,10 +49,9 @@ class FiniteSumProblem:
     * ``value(x)`` and ``full_gradient(x)``, the objective at one point;
     * ``gradient_table(x)``, all component gradients at one point, (N, d);
     * ``component_gradients(ks, xs)``, the gradient of component ks[i] at
-      row xs[i], (B,) and (B, d) -> (B, d).  The engine passes ``ks`` as an
-      unsigned array of the narrowest type that holds N - 1 (uint8 for
-      N <= 256), so a hook uses it only to index: arithmetic on it may
-      overflow;
+      row xs[i], (B,) and (B, d) -> (B, d), with ``ks`` an intp array (the
+      engine stores its sampled indices in a narrower type and widens them
+      before a step);
     * ``values(xs)``, the objective at each row of xs, (B, d) -> (B,).
 
     Instances are immutable after construction and safe for concurrent reads.
