@@ -398,7 +398,7 @@ def lambda_saga_step(
     _check_lam(lam)
     if not (0 <= k < problem.n_components):
         raise IndexError(f"component index {k} out of range")
-    _steps(state, problem, lam, (gamma,), np.array([[k]], dtype=np.intp))
+    _steps(state, problem, lam, (gamma,), np.array([[k]], dtype=np.int64))
     return state
 
 
