@@ -4,7 +4,7 @@ The optimizer keeps a table of stored component gradients and corrects each
 sampled gradient by a lam-scaled control variate built from that table:
 lam = 0 is plain stochastic gradient descent, lam = 1 is the full
 variance-reduced update.  Alongside the iteration the package ships the
-convergence diagnostics, asymptotic-covariance solvers, Monte-Carlo rate
+convergence diagnostics, the asymptotic-covariance solver, Monte-Carlo rate
 estimators, and inequality oracles used to verify its behavior, plus a CLI
 that drives desk-scale experiments.
 """
@@ -13,8 +13,6 @@ from .asymptotics import (
     AsymptoticCovariance,
     CovarianceError,
     gamma_matrix,
-    quadrature_covariance,
-    required_horizon,
     solve_lyapunov,
 )
 from .datasets import DIGIT_SPLIT, DatasetError, LabelRule, load_dataset
@@ -25,7 +23,6 @@ from .engine import (
     OptimizerState,
     RunError,
     RunTrace,
-    conditional_step_expectation,
     derive_seeds,
     diagnostics,
     gaussian_initial_point,
@@ -100,7 +97,6 @@ __all__ = [
     "check_assumptions",
     "check_norm_power_inequality",
     "clt_ensemble",
-    "conditional_step_expectation",
     "cp_dp",
     "derive_seeds",
     "diagnostics",
@@ -110,12 +106,10 @@ __all__ = [
     "init_state",
     "lambda_saga_step",
     "load_dataset",
-    "quadrature_covariance",
     "random_logistic",
     "random_quadratic",
     "rate_ensemble",
     "recursion_bound_trace",
-    "required_horizon",
     "run",
     "run_ensemble",
     "solve_lyapunov",

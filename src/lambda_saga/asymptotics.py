@@ -12,19 +12,17 @@ unique solution of the stationarity equation
 
     (H - I/2) Sigma + Sigma (H - I/2) = (1 - lam)^2 * Gamma.
 
-Two independent routes compute it: :func:`solve_lyapunov` solves the
-stationarity equation exactly in the eigenbasis of H (the primary path) and
-:func:`quadrature_covariance` integrates the defining integral by composite
-Simpson quadrature (the cross-checking oracle).
+:func:`solve_lyapunov` solves the stationarity equation exactly in the
+eigenbasis of H.  The tests cross-check it against an independent route, a
+composite Simpson quadrature of the defining integral, which lives with
+them as their reference.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .problems import FiniteSumProblem
 
@@ -123,63 +121,3 @@ def _validate_solution(h, gamma, lam, sigma):
         raise CovarianceError(
             f"solution is not positive semidefinite: min eigenvalue {min_eig:.3e}"
         )
-
-
-def required_horizon(rho: float, tail: float = 1e-12) -> float:
-    """Integration horizon making the integrand tail at most ``tail``."""
-    if rho <= 0.5:
-        raise CovarianceError(f"rho must exceed 1/2, got {rho}")
-    return -math.log(tail) / (2.0 * rho - 1.0)
-
-
-def quadrature_covariance(
-    h: np.ndarray,
-    gamma: np.ndarray,
-    lam: float,
-    horizon: float,
-    steps: int,
-) -> np.ndarray:
-    """Composite Simpson quadrature of the covariance integral.
-
-    The node matrices exp(-(H - I/2) u_i) are built by repeated
-    multiplication with the per-interval exponential, which is computed once
-    by scipy's scaling-and-squaring ``expm``.  Pure function; independent of
-    the eigenbasis solve except for the admissibility check on rho.
-    """
-    if not (0.0 <= lam <= 1.0):
-        raise CovarianceError(f"lam must lie in [0, 1], got {lam}")
-    h = _require_symmetric(h, "H")
-    gamma = _require_symmetric(gamma, "Gamma")
-    if steps < 2 or steps % 2 != 0:
-        raise CovarianceError(f"steps must be an even integer >= 2, got {steps}")
-    rho = float(np.linalg.eigvalsh(h).min())
-    if rho <= 0.5:
-        raise CovarianceError(
-            f"minimum Hessian eigenvalue must exceed 1/2, got rho = {rho:.6g}"
-        )
-    needed = required_horizon(rho)
-    if horizon < needed:
-        raise CovarianceError(
-            f"horizon {horizon:.3g} too small for the integrand tail; "
-            f"need at least {needed:.3g}"
-        )
-    if lam == 1.0:
-        return np.zeros_like(h)
-
-    d = h.shape[0]
-    step = horizon / steps
-    interval_exp = expm(-(h - 0.5 * np.eye(d)) * step)
-    nodes = np.empty((steps + 1, d, d))
-    nodes[0] = np.eye(d)
-    for i in range(steps):
-        nodes[i + 1] = nodes[i] @ interval_exp
-
-    weights = np.ones(steps + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= step / 3.0
-
-    integrand = np.matmul(nodes.transpose(0, 2, 1) @ gamma, nodes)
-    total = np.tensordot(weights, integrand, axes=(0, 0))
-    total = (total + total.T) / 2.0
-    return (1.0 - lam) ** 2 * total

@@ -255,6 +255,10 @@ def make_problem(config: dict):
         if key in spec and not fits(spec[key]):
             raise CliError(f"--problem key {key!r} must be {what}, "
                            f"got {spec[key]!r}")
+    for key, least in (("n", 1), ("d", 1), ("seed", 0)):
+        if spec[key] < least:
+            raise CliError(f"--problem key {key!r} must be at least {least}, "
+                           f"got {spec[key]!r}")
     given = {key: convert(spec[key]) for key, convert in options.items()
              if key in spec}
     return generator(int(spec["n"]), int(spec["d"]), int(spec["seed"]), **given)

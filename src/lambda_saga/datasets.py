@@ -110,17 +110,21 @@ _CHUNK_LINES = 64
 
 def _read_dense_csv(path: Path, label_column: int):
     """Features, labels and the file line of each row, parsed by numpy's C
-    reader into arrays sized from the file's newline count.
+    reader into arrays sized from the file's line-end count.
+
+    Line ends are counted as the text reader splits lines: each ``\\n``,
+    and each ``\\r`` not followed by ``\\n``.  A ``\\r\\n`` split across
+    two reads counts twice, which only adds a row of capacity.
 
     Whatever the C reader rejects (quoted cells, ``1_000``, empty fields,
     ragged rows, ``#`` lines: ``comments=None`` makes them cells), and any
-    table that fails a shape check or has more rows than newlines (bare
-    ``\\r`` line ends), goes to ``_read_dense_csv_lines``, which accepts a
-    superset, parses identically, and names the cause of an error.
+    table that fails a shape check, goes to ``_read_dense_csv_lines``, which
+    accepts a superset, parses identically, and names the cause of an error.
     """
     with open(path, "rb") as fb:
         blocks = iter(lambda: fb.read(1 << 20), b"")
-        capacity = 1 + sum(block.count(b"\n") for block in blocks)
+        capacity = 1 + sum(block.count(b"\n") + block.count(b"\r")
+                           - block.count(b"\r\n") for block in blocks)
     lines = np.empty(capacity, dtype=np.int64)
     rows = 0
     with open(path, newline="") as fh:

@@ -493,7 +493,6 @@ class RunTrace:
     final_iterate: np.ndarray | None = None
     problem_descriptor: dict = field(default_factory=dict)
     x0: np.ndarray | None = None
-    x1: np.ndarray | None = None
     wall_time_s: float | None = None
 
 
@@ -556,30 +555,6 @@ def diagnostics(
     )
 
 
-def conditional_step_expectation(
-    state: OptimizerState,
-    problem: FiniteSumProblem,
-    lam: float,
-    gamma: float,
-    x_ref: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """One-step conditional expectations of a scalar state by enumerating
-    every possible draw.
-
-    The N equally likely draws are taken as one kernel step over N copies of
-    the state, copy k sampling component k.  Returns ``(expected_iterate,
-    expected_a_next)``: the averages over the copies of X_{n+1} and of the
-    table discrepancy a_{n+1}.  Does not mutate the state.
-    """
-    table_ref, _ = _ref_quantities(problem, x_ref)
-    n_comp = problem.n_components
-    copies = OptimizerState(state.table.rows()[:, 0, :], state.x[0], n_comp)
-    copies.mean[...] = state.mean
-    _steps(copies, problem, lam, (gamma,), np.arange(n_comp)[None, :])
-    a_next = ((copies.table.rows() - table_ref[:, None, :]) ** 2).sum(axis=2)
-    return copies.x.mean(axis=0), float(a_next.mean(axis=0).mean())
-
-
 def run(
     problem: FiniteSumProblem,
     lam: float,
@@ -611,7 +586,6 @@ def run(
         seed=seed,
         problem_descriptor=problem.describe(),
         x0=state.x[0].copy(),
-        x1=state.x[0].copy(),
     )
 
     def record(state):
@@ -761,14 +735,16 @@ def write_trace_csv(trace: RunTrace, path) -> None:
 
 def write_trace_metadata(trace: RunTrace, path) -> None:
     """What reproduces the run, as sorted JSON.  The wall time is left out,
-    so that the file is byte-reproducible."""
+    so that the file is byte-reproducible.  ``"x1"``, the first iterate,
+    is ``x0``: the iteration starts there."""
+    x0 = None if trace.x0 is None else trace.x0.tolist()
     meta = {
         "schedule": {"c": trace.schedule.c, "alpha": trace.schedule.alpha},
         "lambda": trace.lam,
         "seed": trace.seed,
         "problem": trace.problem_descriptor,
-        "x0": None if trace.x0 is None else trace.x0.tolist(),
-        "x1": None if trace.x1 is None else trace.x1.tolist(),
+        "x0": x0,
+        "x1": x0,
     }
     with open(path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -44,8 +44,7 @@ class FiniteSumProblem:
     hooks, vectorized where batched because the optimizer and the
     Monte-Carlo ensembles run through them in hot loops:
 
-    * ``component_value(k, x)`` and ``component_gradient(k, x)``, one
-      component at one point;
+    * ``component_gradient(k, x)``, one component at one point;
     * ``value(x)`` and ``full_gradient(x)``, the objective at one point;
     * ``gradient_table(x)``, all component gradients at one point, (N, d);
     * ``component_gradients(ks, xs)``, the gradient of component ks[i] at
@@ -53,6 +52,11 @@ class FiniteSumProblem:
       engine stores its sampled indices in a narrower type and widens them
       before a step);
     * ``values(xs)``, the objective at each row of xs, (B, d) -> (B,).
+
+    Optional structure: ``hessian(x)``, for the Newton solve and the ``rho``
+    of :func:`check_assumptions`; ``closed_form_minimizer()``, x* when it
+    takes no solve; and ``_growth_constant(p)``.  x* itself comes from
+    :func:`solve_minimizer` alone.
 
     Instances are immutable after construction and safe for concurrent reads.
     """
@@ -65,9 +69,6 @@ class FiniteSumProblem:
     secant_constant: float | None = None
     metadata: dict = {}
 
-    def component_value(self, k: int, x: np.ndarray) -> float:
-        raise NotImplementedError
-
     def component_gradient(self, k: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -79,14 +80,6 @@ class FiniteSumProblem:
     def closed_form_minimizer(self) -> np.ndarray | None:
         """The minimizer x*, or None when it takes a solve."""
         return None
-
-    def reference_minimizer(self) -> np.ndarray:
-        x_star = self.closed_form_minimizer()
-        if x_star is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} exposes no reference minimizer"
-            )
-        return x_star
 
     def growth_constant(self, p: int) -> float:
         """Closed-form L_p of the order-2p gradient growth bound
@@ -127,11 +120,6 @@ class QuadraticProblem(FiniteSumProblem):
         self.n_components, self.dim = anchors.shape
         self._anchor_mean = anchors.mean(axis=0)
         self.metadata = dict(metadata or {})
-
-    def component_value(self, k, x):
-        x = self._check_dim(x)
-        diff = x - self.anchors[k]
-        return 0.5 * float(diff @ diff)
 
     def component_gradient(self, k, x):
         x = self._check_dim(x)
@@ -222,12 +210,6 @@ class LogisticProblem(FiniteSumProblem):
         self.labels = labels
         self.n_components, self.dim = features.shape
         self.metadata = dict(metadata or {})
-        self._minimizer_cache: np.ndarray | None = None
-
-    def component_value(self, k, x):
-        x = self._check_dim(x)
-        t = float(self.features[k] @ x)
-        return float(np.logaddexp(0.0, t) - self.labels[k] * t)
 
     def component_gradient(self, k, x):
         # <w_k, x> reduced as in ``component_gradients``: both agree bitwise.
@@ -267,12 +249,6 @@ class LogisticProblem(FiniteSumProblem):
         h = weighted.T @ self.features / self.n_components
         return (h + h.T) / 2.0
 
-    def reference_minimizer(self):
-        # Lazy Newton solve; the cache is a pure function of the immutable data.
-        if self._minimizer_cache is None:
-            self._minimizer_cache = solve_minimizer(self)
-        return self._minimizer_cache.copy()
-
     def _growth_constant(self, p):
         """L_p = (1 / (4**p * N)) * sum_k ||w_k||^(4p)."""
         norms2 = (self.features**2).sum(axis=1)
@@ -288,7 +264,8 @@ def solve_minimizer(
 
     A closed-form minimizer is returned as it is.  Otherwise a
     damped Newton iteration is used: full Newton step, halved while the
-    objective value increases.  Non-convergence within ``max_iter`` raises
+    objective value increases; a family without a Hessian raises its
+    NotImplementedError.  Non-convergence within ``max_iter`` raises
     :class:`MinimizerError` carrying the last gradient norm; separable
     logistic data (minimizer at infinity) surfaces either that way or through
     the flat-ray check below.
@@ -301,9 +278,9 @@ def solve_minimizer(
 
     x = np.zeros(problem.dim)
     for _ in range(max_iter):
+        hess = problem.hessian(x)
         grad = problem.full_gradient(x)
         grad_norm = float(np.linalg.norm(grad))
-        hess = problem.hessian(x)
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError as exc:
@@ -382,13 +359,14 @@ def check_assumptions(
 
     Closed-form constants are used where available; the gradient-growth
     bounds are spot-checked at ``sample_count`` Gaussian points around the
-    reference minimizer at several radii.  A missing reference minimizer is
-    an error; a missing Hessian only blanks out ``rho``.
+    minimizer from :func:`solve_minimizer` at several radii.  A family
+    with neither a closed-form minimizer nor a Hessian has no minimizer,
+    which is an error; otherwise a missing Hessian only blanks out ``rho``.
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     try:
-        x_star = problem.reference_minimizer()
+        x_star = solve_minimizer(problem)
     except NotImplementedError as exc:
         raise MinimizerError(
             "assumption checks need a reference minimizer"

@@ -12,7 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from references import saga_reference, sgd_reference
+from references import (
+    component_value,
+    conditional_step_expectation,
+    quadrature_covariance,
+    required_horizon,
+    saga_reference,
+    sgd_reference,
+)
 
 from lambda_saga import (
     IndexSampler,
@@ -20,23 +27,22 @@ from lambda_saga import (
     StepSchedule,
     check_norm_power_inequality,
     clt_ensemble,
-    conditional_step_expectation,
     cp_dp,
     diagnostics,
     gamma_matrix,
     init_state,
     lambda_saga_step,
-    quadrature_covariance,
     random_logistic,
     random_quadratic,
     rate_ensemble,
     recursion_bound_trace,
-    required_horizon,
     run,
     run_ensemble,
     solve_lyapunov,
     solve_minimizer,
+    summarize_scaled_errors,
 )
+from lambda_saga.montecarlo import rate_estimate
 
 UNIT_STEP = StepSchedule(1.0, 1.0)
 
@@ -63,23 +69,32 @@ def clt_problem():
 
 @pytest.fixture(scope="module")
 def clt_summaries(clt_problem):
-    x_star = clt_problem.reference_minimizer()
+    x_star = solve_minimizer(clt_problem)
     return {
-        lam: clt_ensemble(clt_problem, lam, 100_000, 2000, 9000, x_star)
+        lam: clt_ensemble(clt_problem, lam, 100_000, 2000, 9000, x_star, workers=2)
         for lam in (0.0, 0.5, 0.9)
     }
 
 
 @pytest.fixture(scope="module")
 def dirac_summaries(clt_problem):
-    x_star = clt_problem.reference_minimizer()
+    # The horizons of a repetition share its seeds, so each shorter run is a
+    # prefix of the longest: one ensemble gives clt_ensemble's summary of
+    # every horizon n from its iterates at state counter n + 1.
+    x_star = solve_minimizer(clt_problem)
     horizons = (1000, 10_000, 100_000)
     repetitions = []
     for rep in range(3):
         base = 77_000 + 131 * rep
-        repetitions.append(
-            {n: clt_ensemble(clt_problem, 1.0, n, 2000, base, x_star) for n in horizons}
+        result = run_ensemble(
+            clt_problem, 1.0, UNIT_STEP, horizons[-1], 2000, base,
+            checkpoints=tuple(n + 1 for n in horizons), workers=2,
         )
+        repetitions.append({
+            n: summarize_scaled_errors(
+                np.sqrt(n) * (result.checkpoint_iterates[n + 1] - x_star), 1.0, n, base)
+            for n in horizons
+        })
     return horizons, repetitions
 
 
@@ -129,7 +144,7 @@ STEP_MEAN_TOL = 1e-12
 
 def test_criterion_02_conditional_identities(quad_5d):
     start = time.perf_counter()
-    x_star = quad_5d.reference_minimizer()
+    x_star = solve_minimizer(quad_5d)
     rng = np.random.default_rng(77)
     n = quad_5d.n_components
     worst_step = 0.0
@@ -167,7 +182,7 @@ def test_criterion_02_conditional_identities(quad_5d):
 
 
 def test_criterion_03_clt_covariance(clt_problem, clt_summaries):
-    x_star = clt_problem.reference_minimizer()
+    x_star = solve_minimizer(clt_problem)
     gamma = gamma_matrix(clt_problem, x_star)
     details = []
     ok = True
@@ -221,7 +236,7 @@ def test_criterion_06_l2_rate(quad_5d):
     schedule = StepSchedule(2 ** (alpha - 1.0), alpha)  # 2*c*mu == 2**alpha
     estimate = rate_ensemble(
         quad_5d, 0.5, schedule, 1, CHECKPOINTS, 200, 5150,
-        quad_5d.reference_minimizer(), mu=1.0,
+        solve_minimizer(quad_5d), mu=1.0,
     )
     slope_ok = abs(estimate.slope - (-alpha)) <= 0.15
     sup_ok = estimate.scaled_sup_ratio <= 3.0
@@ -236,7 +251,7 @@ def test_criterion_06_l2_rate(quad_5d):
 def test_criterion_07_l4_rate(quad_5d):
     estimate = rate_ensemble(
         quad_5d, 0.5, UNIT_STEP, 2, CHECKPOINTS, 200, 6160,
-        quad_5d.reference_minimizer(), mu=1.0,
+        solve_minimizer(quad_5d), mu=1.0,
     )
     slope_ok = abs(estimate.slope - (-2.0)) <= 0.3
     gap_ok = abs(estimate.value_gap_slope - (-2.0)) <= 0.3
@@ -336,7 +351,7 @@ def test_criterion_10_logistic_correctness(desk_logistic):
             e = np.zeros(problem.dim)
             e[i] = 1e-5
             fd[i] = (
-                problem.component_value(k, x + e) - problem.component_value(k, x - e)
+                component_value(problem, k, x + e) - component_value(problem, k, x - e)
             ) / 2e-5
         grad = problem.component_gradient(k, x)
         worst_grad = max(
@@ -400,4 +415,35 @@ def test_criterion_11_lambda_orderings(desk_logistic):
         f"median grad-eval norms {['%.3e' % v for v in median_norms]} "
         f"non-increasing={norms_ordered}; mean squared errors "
         f"{['%.3e' % v for v in mean_errors]} non-increasing={errors_ordered}",
+    )
+
+
+# -- criterion 12: the rate slope follows the step constant ----------------------
+
+
+def test_criterion_12_rate_slope_follows_step_constant(quad_5d):
+    # With gamma_n = c / n the linearised recursion e <- (1 - c rho / n) e +
+    # noise gives E ||X_n - x*||^(2p) ~ n^(-p min(1, 2 c rho)), rho the least
+    # eigenvalue of H(x*) (Bach and Moulines, NeurIPS 2011).  The c lie on
+    # both sides of 2 c rho = 1 and away from it, where log factors bend the
+    # fit; a step that ignores c gives the slope -p at every c.
+    x_star = solve_minimizer(quad_5d)
+    rho = float(np.linalg.eigvalsh(quad_5d.hessian(x_star)).min())
+    worst = 0.0
+    details = []
+    for c in (0.2, 0.3, 1.0):
+        schedule = StepSchedule(c, 1.0)
+        result = run_ensemble(
+            quad_5d, 0.5, schedule, CHECKPOINTS[-1] - 1, 200, 1212,
+            x_ref=x_star, checkpoints=CHECKPOINTS,
+        )
+        for p in (1, 2):
+            slope = rate_estimate(result, 0.5, schedule, p).slope
+            predicted = -p * min(1.0, 2.0 * c * rho)
+            worst = max(worst, abs(slope - predicted))
+            details.append(f"c={c} p={p}: {slope:.3f} vs {predicted:.2f}")
+    report(
+        12,
+        worst <= 0.1,
+        "; ".join(details) + f" (max |slope - predicted| = {worst:.3f}, limit 0.1)",
     )

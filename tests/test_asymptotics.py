@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
+from references import quadrature_covariance, required_horizon
 
 from lambda_saga import (
     CovarianceError,
     QuadraticProblem,
     gamma_matrix,
-    quadrature_covariance,
     random_quadratic,
-    required_horizon,
     solve_lyapunov,
+    solve_minimizer,
 )
 
 
@@ -28,24 +28,24 @@ def random_admissible(rng, d=None):
 class TestGammaMatrix:
     def test_scalar_anchors(self):
         problem = QuadraticProblem(np.array([[1.0], [-1.0]]))
-        gamma = gamma_matrix(problem, problem.reference_minimizer())
+        gamma = gamma_matrix(problem, solve_minimizer(problem))
         assert gamma.shape == (1, 1)
         assert gamma[0, 0] == 1.0  # ((-1)^2 + 1^2) / 2
 
     def test_single_component_vanishes(self):
         problem = QuadraticProblem(np.array([[2.0, -3.0]]))
-        gamma = gamma_matrix(problem, problem.reference_minimizer())
+        gamma = gamma_matrix(problem, solve_minimizer(problem))
         assert np.array_equal(gamma, np.zeros((2, 2)))
 
     def test_symmetric_anchor_pair(self):
         problem = QuadraticProblem(np.array([[1.0, 1.0], [-1.0, -1.0]]))
-        gamma = gamma_matrix(problem, problem.reference_minimizer())
+        gamma = gamma_matrix(problem, solve_minimizer(problem))
         assert np.allclose(gamma, [[1.0, 1.0], [1.0, 1.0]])
 
     def test_rejects_non_stationary_point(self):
         problem = random_quadratic(10, 3, seed=1)
         with pytest.raises(CovarianceError, match="not stationary"):
-            gamma_matrix(problem, problem.reference_minimizer() + 1.0)
+            gamma_matrix(problem, solve_minimizer(problem) + 1.0)
 
 
 class TestSolveLyapunov:

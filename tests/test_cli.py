@@ -296,6 +296,9 @@ class TestInvalidInputs:
         ('{"d": 2.5}', "--problem key 'd' must be an integer, got 2.5"),
         ('{"type": "logistic", "feature_scale": "big"}',
          "--problem key 'feature_scale' must be a number, got 'big'"),
+        ('{"d": -1}', "--problem key 'd' must be at least 1, got -1"),
+        ('{"n": 0}', "--problem key 'n' must be at least 1, got 0"),
+        ('{"seed": -3}', "--problem key 'seed' must be at least 0, got -3"),
     ])
     def test_problem_spec_value_of_wrong_kind_named(self, tmp_path, capsys, spec,
                                                     message):

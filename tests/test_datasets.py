@@ -144,15 +144,24 @@ class TestDenseCsv:
         with pytest.raises(DatasetError, match="row 4: non-numeric cell"):
             load_dataset(path)
 
-    def test_bare_carriage_returns(self, tmp_path):
-        # Fewer newlines than rows: the arrays sized from the newline count
-        # would overflow, so the line parser reads the file.
+    def test_bare_carriage_returns(self, tmp_path, monkeypatch):
+        # Bare \r line ends count toward the capacity, so the C reader
+        # reads the file, with the line parser's bits.
         path = tmp_path / "cr.csv"
-        path.write_bytes(b"0,1,2\r7,3,4\r\r9,5,6")
-        features, labels, lines = datasets._read_dense_csv(path, 0)
-        assert np.array_equal(features, [[1, 2], [3, 4], [5, 6]])
-        assert np.array_equal(labels, [0, 7, 9])
-        assert np.array_equal(lines, [1, 2, 4])
+        path.write_bytes(b"0,1,2\r7,3.1,4\r\r9,5,6e-3\r\n8,0.7,1\n")
+        want = datasets._read_dense_csv_lines(path, 0)
+
+        def refuse(*args):
+            raise AssertionError("bare carriage returns reached the line parser")
+
+        monkeypatch.setattr(datasets, "_read_dense_csv_lines", refuse)
+        got = datasets._read_dense_csv(path, 0)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and _bits(g) == _bits(w)
+        features, labels, lines = got
+        assert np.array_equal(features, [[1, 2], [3.1, 4], [5, 6e-3], [0.7, 1]])
+        assert np.array_equal(labels, [0, 7, 9, 8])
+        assert np.array_equal(lines, [1, 2, 4, 5])
 
 
 class TestSvmlight:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from references import saga_reference, sgd_reference
+from references import conditional_step_expectation, saga_reference, sgd_reference
 
 from lambda_saga import (
     IndexSampler,
@@ -9,7 +9,6 @@ from lambda_saga import (
     QuadraticProblem,
     RunError,
     StepSchedule,
-    conditional_step_expectation,
     diagnostics,
     gaussian_initial_point,
     init_state,
@@ -17,6 +16,7 @@ from lambda_saga import (
     random_logistic,
     random_quadratic,
     run,
+    solve_minimizer,
     write_trace_csv,
     write_trace_metadata,
 )
@@ -175,7 +175,7 @@ class TestInitState:
         assert state.n == 1
 
     def test_start_at_equilibrium(self, tiny_quadratic):
-        x_star = tiny_quadratic.reference_minimizer()
+        x_star = solve_minimizer(tiny_quadratic)
         state = init_state(tiny_quadratic, x_star)
         assert np.array_equal(state.table.rows().ravel(), [-1.0, 1.0])
         assert np.array_equal(state.mean, [[0.0]])
@@ -219,7 +219,7 @@ class TestDiagnostics:
 
     def test_hand_evaluated_snapshot(self, tiny_quadratic):
         state = init_state(tiny_quadratic, np.array([2.0]))
-        x_star = tiny_quadratic.reference_minimizer()
+        x_star = solve_minimizer(tiny_quadratic)
         snap = diagnostics(state, tiny_quadratic, x_star, StepSchedule(1.0, 1.0))
         assert snap.v_n == 4.0
         assert snap.a_n == 4.0
@@ -229,7 +229,7 @@ class TestDiagnostics:
         assert snap.value_gap == pytest.approx(2.0)  # f(2) - f(0) = 5/2 - 1/2
 
     def test_equilibrium_fixed_point(self, tiny_quadratic):
-        x_star = tiny_quadratic.reference_minimizer()
+        x_star = solve_minimizer(tiny_quadratic)
         state = init_state(tiny_quadratic, x_star)
         snap = diagnostics(state, tiny_quadratic, x_star)
         assert snap.v_n == 0.0
@@ -239,7 +239,7 @@ class TestDiagnostics:
 
     def test_t_dominates_v(self):
         problem = random_quadratic(20, 3, seed=2)
-        x_star = problem.reference_minimizer()
+        x_star = solve_minimizer(problem)
         state = init_state(problem, np.ones(3), seed=0)
         sched = StepSchedule(0.5, 0.8)
         for i in range(50):
@@ -254,7 +254,7 @@ class TestConditionalStepExpectation:
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
     def test_expected_step_is_the_gradient_step(self, lam):
         problem = random_quadratic(30, 4, seed=3)
-        x_star = problem.reference_minimizer()
+        x_star = solve_minimizer(problem)
         rng = np.random.default_rng(4)
         for _ in range(100):
             state = scrambled_state(problem, rng, 17)
@@ -270,7 +270,7 @@ class TestConditionalStepExpectation:
 
     def test_a_recursion_matches_closed_form(self):
         problem = random_quadratic(25, 3, seed=5)
-        x_star = problem.reference_minimizer()
+        x_star = solve_minimizer(problem)
         rng = np.random.default_rng(6)
         n = problem.n_components
         for _ in range(100):
@@ -284,7 +284,7 @@ class TestConditionalStepExpectation:
 
     def test_table_at_reference_gradients(self):
         problem = random_quadratic(10, 2, seed=7)
-        x_star = problem.reference_minimizer()
+        x_star = solve_minimizer(problem)
         state = init_state(problem, x_star)
         state.x[0] = np.array([3.0, -1.0])
         snap = diagnostics(state, problem, x_star)
@@ -335,7 +335,7 @@ class TestRun:
     def test_snapshots_strictly_increasing(self):
         problem = random_quadratic(20, 3, seed=8)
         trace = run(problem, 0.5, StepSchedule(1.0, 1.0), 2500, seed=0,
-                    diag_every=500, x_ref=problem.reference_minimizer())
+                    diag_every=500, x_ref=solve_minimizer(problem))
         ns = [s.n for s in trace.snapshots]
         assert ns == sorted(set(ns))
         assert ns[0] == 1 and ns[-1] == 2501
@@ -376,7 +376,7 @@ class TestRun:
     def test_saga_converges_on_quadratic(self):
         problem = random_quadratic(50, 5, seed=7)
         trace = run(problem, 1.0, StepSchedule(1.0, 1.0), 100_000, seed=0,
-                    diag_every=20_000, x_ref=problem.reference_minimizer())
+                    diag_every=20_000, x_ref=solve_minimizer(problem))
         assert trace.snapshots[-1].v_n < 1e-2
 
     def test_error_wrapped_with_iteration(self):
@@ -402,7 +402,7 @@ class TestTraceSerialization:
     def test_csv_round_trip_precision(self, tmp_path):
         problem = random_quadratic(10, 2, seed=11)
         trace = run(problem, 0.5, StepSchedule(1.0, 1.0), 300, seed=5,
-                    diag_every=100, x_ref=problem.reference_minimizer())
+                    diag_every=100, x_ref=solve_minimizer(problem))
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         lines = path.read_text().strip().splitlines()
@@ -426,5 +426,6 @@ class TestTraceSerialization:
         assert meta["lambda"] == 0.25
         assert meta["seed"] == 6
         assert meta["problem"]["type"] == "quadratic"
+        assert meta["x0"] == meta["x1"] == [0.0, 0.0]  # the first iterate is x0
         # Sorted keys and no wall time: the file is byte-reproducible.
         assert list(meta) == sorted(meta) and "wall_time_s" not in meta

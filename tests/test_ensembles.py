@@ -15,6 +15,7 @@ from lambda_saga import (
     random_quadratic,
     run,
     run_ensemble,
+    solve_minimizer,
 )
 from lambda_saga import engine
 from lambda_saga.engine import _scalar_table_mean, _table_mean
@@ -40,7 +41,7 @@ class TestReplicationSemantics:
         problem = random_quadratic(20, 3, seed=1)
         schedule = StepSchedule(1.0, 0.8)
         result = run_ensemble(problem, 0.7, schedule, 800, 4, base_seed=55,
-                              x_ref=problem.reference_minimizer())
+                              x_ref=solve_minimizer(problem))
         for m, seed in enumerate(derive_seeds(55, 4)):
             trace = run(problem, 0.7, schedule, 800, seed=seed, diag_every=10**9)
             assert np.array_equal(result.final_iterates[m], trace.final_iterate)
@@ -71,7 +72,7 @@ class TestReplicationSemantics:
 
     def test_checkpoint_bookkeeping(self):
         problem = random_quadratic(10, 2, seed=4)
-        x_ref = problem.reference_minimizer()
+        x_ref = solve_minimizer(problem)
         result = run_ensemble(problem, 1.0, StepSchedule(1.0, 1.0), 100, 3,
                               base_seed=0, x_ref=x_ref, checkpoints=(11, 51, 101))
         assert set(result.checkpoint_sq_error) == {11, 51, 101}
@@ -92,10 +93,10 @@ class TestReplicationSemantics:
         problem = random_quadratic(12, 3, seed=6)
         schedule = StepSchedule(1.0, 0.9)
         serial = run_ensemble(problem, 0.8, schedule, 400, 6, base_seed=21,
-                              x_ref=problem.reference_minimizer(),
+                              x_ref=solve_minimizer(problem),
                               checkpoints=(201, 401))
         parallel = run_ensemble(problem, 0.8, schedule, 400, 6, base_seed=21,
-                                x_ref=problem.reference_minimizer(),
+                                x_ref=solve_minimizer(problem),
                                 checkpoints=(201, 401), workers=3)
         assert np.array_equal(serial.final_iterates, parallel.final_iterates)
         for n in (201, 401):
@@ -346,7 +347,7 @@ class TestConvergenceProxy:
         # 20 replications, 1e5 steps, quadratic with step 1/n
         problem = random_quadratic(50, 5, seed=7)
         result = run_ensemble(problem, 0.5, StepSchedule(1.0, 1.0), 100_000, 20,
-                              base_seed=3, x_ref=problem.reference_minimizer(),
+                              base_seed=3, x_ref=solve_minimizer(problem),
                               checkpoints=(100_001,))
         final_sq_error = result.checkpoint_sq_error[100_001]
         assert final_sq_error.max() < 1e-2

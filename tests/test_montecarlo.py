@@ -13,6 +13,7 @@ from lambda_saga import (
     random_quadratic,
     rate_ensemble,
     run_ensemble,
+    solve_minimizer,
 )
 from lambda_saga import montecarlo
 from lambda_saga.montecarlo import rate_estimate, summarize_scaled_errors
@@ -32,10 +33,10 @@ class TestDerivedSeeds:
 class TestCltEnsemble:
     def test_requires_two_replications(self, quad):
         with pytest.raises(ValueError, match="at least 2 replications"):
-            clt_ensemble(quad, 0.5, 100, 1, 0, quad.reference_minimizer())
+            clt_ensemble(quad, 0.5, 100, 1, 0, solve_minimizer(quad))
 
     def test_deterministic_summary(self, quad):
-        x_star = quad.reference_minimizer()
+        x_star = solve_minimizer(quad)
         a = clt_ensemble(quad, 0.5, 500, 16, 7, x_star)
         b = clt_ensemble(quad, 0.5, 500, 16, 7, x_star)
         assert np.array_equal(a.sample_cov, b.sample_cov)
@@ -43,7 +44,7 @@ class TestCltEnsemble:
         assert a.stderr == b.stderr
 
     def test_scalar_variance_consistent_with_covariance(self, quad):
-        x_star = quad.reference_minimizer()
+        x_star = solve_minimizer(quad)
         summary = clt_ensemble(quad, 0.0, 400, 32, 3, x_star)
         ones = np.ones(quad.dim)
         assert summary.sigma2_scalar == pytest.approx(
@@ -52,18 +53,33 @@ class TestCltEnsemble:
         assert summary.stderr > 0.0
 
     def test_sample_cov_positive_semidefinite(self, quad):
-        summary = clt_ensemble(quad, 0.9, 300, 24, 11, quad.reference_minimizer())
+        summary = clt_ensemble(quad, 0.9, 300, 24, 11, solve_minimizer(quad))
         eigs = np.linalg.eigvalsh(summary.sample_cov)
         assert eigs.min() >= -1e-12
         assert np.array_equal(summary.sample_cov, summary.sample_cov.T)
 
     def test_saga_variance_shrinks_with_horizon(self, quad):
-        x_star = quad.reference_minimizer()
+        x_star = solve_minimizer(quad)
         values = [
             clt_ensemble(quad, 1.0, n, 64, 5, x_star).sigma2_scalar
             for n in (100, 1000, 10_000)
         ]
         assert values[0] > values[1] > values[2]
+
+    def test_one_ensemble_summarizes_every_horizon_bitwise(self, quad):
+        # Horizons on the same seeds are prefixes of the longest run, across
+        # a step block boundary too: its iterates at n + 1 summarize to
+        # clt_ensemble's summary at n.
+        x_star = solve_minimizer(quad)
+        horizons = (30, 4100, 5000)
+        result = run_ensemble(quad, 1.0, StepSchedule(1.0, 1.0), horizons[-1], 16, 9,
+                              checkpoints=tuple(n + 1 for n in horizons))
+        for n in horizons:
+            got = summarize_scaled_errors(
+                np.sqrt(n) * (result.checkpoint_iterates[n + 1] - x_star), 1.0, n, 9)
+            want = clt_ensemble(quad, 1.0, n, 16, 9, x_star)
+            assert got.sample_cov.tobytes() == want.sample_cov.tobytes()
+            assert (got.sigma2_scalar, got.stderr) == (want.sigma2_scalar, want.stderr)
 
 
 class TestBootstrap:
@@ -109,14 +125,14 @@ class TestRateEnsemble:
     def test_needs_two_checkpoints(self, quad):
         with pytest.raises(ValueError, match="2 checkpoints"):
             rate_ensemble(quad, 0.5, StepSchedule(1.0, 1.0), 1, (1000,), 8, 0,
-                          quad.reference_minimizer())
+                          solve_minimizer(quad))
 
     def test_slope_near_minus_alpha(self):
         problem = random_quadratic(20, 3, seed=17)
         schedule = StepSchedule(2 ** (0.75 - 1), 0.75)
         estimate = rate_ensemble(
             problem, 0.0, schedule, 1, (500, 1500, 5000, 15_000), 64, 2,
-            problem.reference_minimizer(), mu=1.0,
+            solve_minimizer(problem), mu=1.0,
         )
         assert estimate.warnings == ()
         assert estimate.slope == pytest.approx(-0.75, abs=0.2)
@@ -128,7 +144,7 @@ class TestRateEnsemble:
         # p = 3 with p*c*mu > 2**alpha: warned, not fatal
         estimate = rate_ensemble(
             quad, 0.5, StepSchedule(1.0, 1.0), 3, (100, 1000), 8, 0,
-            quad.reference_minimizer(), mu=1.0,
+            solve_minimizer(quad), mu=1.0,
         )
         assert any("p*c*mu" in w for w in estimate.warnings)
         assert len(estimate.moments) == 2
@@ -140,7 +156,7 @@ class TestRateEnsemble:
         problem = QuadraticProblem(np.array([[1.0]]))
         estimate = rate_ensemble(
             problem, 0.0, StepSchedule(1.0, 1.0), 1, (200, 1000), 4, 0,
-            problem.reference_minimizer(),
+            solve_minimizer(problem),
         )
         assert estimate.moments == (0.0, 0.0)
         assert estimate.slope is None
@@ -156,7 +172,7 @@ class TestRateEnsemble:
     def test_burn_in_drops_early_checkpoints(self, quad):
         estimate = rate_ensemble(
             quad, 0.5, StepSchedule(1.0, 1.0), 1, (10, 50, 2000, 8000), 16, 1,
-            quad.reference_minimizer(),
+            solve_minimizer(quad),
         )
         # moments reported for all checkpoints, slope fitted past burn-in only
         assert len(estimate.moments) == 4

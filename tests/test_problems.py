@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from references import component_value
 
 from lambda_saga import (
     FactoredRows,
@@ -55,7 +56,7 @@ class TestFiniteSumStructure:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(problem.dim)
         mean = np.mean(
-            [problem.component_value(k, x) for k in range(problem.n_components)]
+            [component_value(problem, k, x) for k in range(problem.n_components)]
         )
         assert problem.value(x) == pytest.approx(mean, rel=1e-12)
 
@@ -78,7 +79,7 @@ class TestFiniteSumStructure:
             k = int(rng.integers(problem.n_components))
             x = rng.standard_normal(problem.dim)
             fd = finite_difference_gradient(
-                lambda z: problem.component_value(k, z), x
+                lambda z: component_value(problem, k, z), x
             )
             grad = problem.component_gradient(k, x)
             assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
@@ -115,13 +116,13 @@ class TestFiniteSumStructure:
 
 class TestQuadratic:
     def test_minimizer_is_anchor_mean(self, quad):
-        x_star = quad.reference_minimizer()
+        x_star = solve_minimizer(quad)
         assert np.array_equal(x_star, quad.anchors.mean(axis=0))
         assert np.all(quad.full_gradient(x_star) == 0.0)
 
     def test_secant_equality_structure(self, quad):
         rng = np.random.default_rng(13)
-        x_star = quad.reference_minimizer()
+        x_star = solve_minimizer(quad)
         for _ in range(20):
             x = rng.standard_normal(quad.dim)
             diff = x - x_star
@@ -182,7 +183,7 @@ class TestLogistic:
     def test_moment_growth_bound_holds(self, logit, p):
         # bound: mean_k ||grad_k(x) - grad_k(x*)||^(2p) <= L_p ||x - x*||^(2p)
         rng = np.random.default_rng(15)
-        x_star = logit.reference_minimizer()
+        x_star = solve_minimizer(logit)
         table_star = logit.gradient_table(x_star)
         l_p = logit.growth_constant(p)
         xs = x_star + rng.standard_normal((10_000, logit.dim)) * rng.choice(
@@ -216,8 +217,8 @@ class TestFamilyDeclarations:
 
         assert Custom().describe() == {"type": "Custom", "N": 2, "d": 1}
         assert Custom().secant_constant is None
-        with pytest.raises(NotImplementedError, match="no reference minimizer"):
-            Custom().reference_minimizer()
+        with pytest.raises(NotImplementedError, match="Custom exposes no Hessian"):
+            solve_minimizer(Custom())
 
     @pytest.mark.parametrize("p", [0, -1])
     def test_growth_constant_rejects_orders_below_one(self, quad, logit, p):
