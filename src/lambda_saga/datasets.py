@@ -121,10 +121,14 @@ def _read_dense_csv(path: Path, label_column: int):
     table that fails a shape check, goes to ``_read_dense_csv_lines``, which
     accepts a superset, parses identically, and names the cause of an error.
     """
+    capacity = 1
     with open(path, "rb") as fb:
-        blocks = iter(lambda: fb.read(1 << 20), b"")
-        capacity = 1 + sum(block.count(b"\n") + block.count(b"\r")
-                           - block.count(b"\r\n") for block in blocks)
+        for block in iter(lambda: fb.read(1 << 20), b""):
+            capacity += block.count(b"\n")
+            # Most files hold no \r, and testing for one costs about a
+            # thirtieth of a count.
+            if b"\r" in block:
+                capacity += block.count(b"\r") - block.count(b"\r\n")
     lines = np.empty(capacity, dtype=np.int64)
     rows = 0
     with open(path, newline="") as fh:
