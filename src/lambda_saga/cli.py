@@ -26,6 +26,7 @@ import json
 import shutil
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -417,6 +418,13 @@ def cmd_rates(config, out: Path):
         raise CliError("rates need --mu for problems without a known secant constant")
     p_list = [int(p) for p in config["p_list"]]
     checkpoints = check_rate_inputs(_checkpoints(config), p_list, float(mu))
+    # No restricted secant constant exceeds rho, the smallest eigenvalue of
+    # H(x*): along its eigenvector the secant ratio tends to rho.
+    rho = float(np.linalg.eigvalsh(problem.hessian(x_ref)).min())
+    mu_warnings = ()
+    if float(mu) > rho:
+        mu_warnings = (f"mu={float(mu):g} exceeds rho={rho:.6g}, the smallest "
+                       "Hessian eigenvalue at x*, which bounds every secant constant",)
 
     estimates = {}
     rows = ["lambda,p,n,moment,value_gap_moment"]
@@ -430,6 +438,7 @@ def cmd_rates(config, out: Path):
         )
         for p in p_list:
             est = rate_estimate(result, float(lam), schedule, p, float(mu))
+            est = replace(est, warnings=est.warnings + mu_warnings)
             record = estimates[f"lambda={lam},p={p}"] = est.to_dict()
             for n, m, g in zip(record["checkpoints"], record["moments"],
                                record["value_gap_moments"]):

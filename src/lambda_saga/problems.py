@@ -12,9 +12,11 @@ restricted secant constant mu (``secant_constant``) and its minimizer
   the reference test bed.
 * :class:`LogisticProblem` -- binary logistic regression on feature rows w_k
   with labels y_k in {0, 1}.  Gradients, Hessian, and the moment growth
-  constants have stable closed forms; mu and the minimizer do not.  Its
-  gradient hooks return :class:`FactoredRows`, the rows w_k * s_k with both
-  factors attached.
+  constants have closed forms; mu and the minimizer do not.  Gradients,
+  Hessian and the generator's labels take the logistic link from one numpy
+  helper, which caps its argument so that exp never overflows.  The gradient
+  hooks return :class:`FactoredRows`, the rows w_k * s_k with both factors
+  attached.
 
 The module also houses the reference-minimizer Newton solver, the
 assumption checker that estimates the constants (L, L_p, rho, mu) a problem
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 
 class ProblemError(RuntimeError):
@@ -181,11 +182,23 @@ def factored_rows(features: np.ndarray, scalars: np.ndarray) -> FactoredRows:
     return rows
 
 
+def _logistic(t):
+    """The logistic link 1 / (1 + exp(-t)) as e / (1 + e), e = exp(min(t, 709)).
+
+    exp(709) and 1 + exp(709) are finite, so no t warns; the link is exactly 1
+    from t = 709 up and exactly 0 where exp(t) underflows.  A float gives the
+    bits of a one-element array, so the scalar and batched hooks agree bitwise.
+    """
+    e = np.exp(np.minimum(t, 709.0))
+    return e / (1.0 + e)
+
+
 class LogisticProblem(FiniteSumProblem):
     """Binary logistic regression: f_k(x) = log(1 + exp(<x, w_k>)) - y_k <x, w_k>.
 
-    The logistic probability p_k(x) = expit(<x, w_k>) is evaluated with the
-    overflow-safe branch so large inner products never overflow exp.
+    The logistic probability p_k(x) = 1 / (1 + exp(-<x, w_k>)) comes from
+    :func:`_logistic`, which caps its argument at 709 so that exp never
+    overflows; values go through ``logaddexp``, which never overflows either.
     """
 
     type_name = "logistic"
@@ -215,7 +228,7 @@ class LogisticProblem(FiniteSumProblem):
         # <w_k, x> reduced as in ``component_gradients``: both agree bitwise.
         x = self._check_dim(x)
         t = float(np.einsum("d,d->", self.features[k], x))
-        return self.features[k] * (expit(t) - self.labels[k])
+        return self.features[k] * (_logistic(t) - self.labels[k])
 
     def value(self, x):
         x = self._check_dim(x)
@@ -225,17 +238,17 @@ class LogisticProblem(FiniteSumProblem):
     def full_gradient(self, x):
         x = self._check_dim(x)
         t = self.features @ x
-        return self.features.T @ (expit(t) - self.labels) / self.n_components
+        return self.features.T @ (_logistic(t) - self.labels) / self.n_components
 
     def gradient_table(self, x):
         x = self._check_dim(x)
         t = self.features @ x
-        return factored_rows(self.features, expit(t) - self.labels)
+        return factored_rows(self.features, _logistic(t) - self.labels)
 
     def component_gradients(self, ks, xs):
         wk = self.features.take(ks, axis=0)
         t = np.einsum("bd,bd->b", wk, xs)
-        return factored_rows(wk, expit(t) - self.labels.take(ks))
+        return factored_rows(wk, _logistic(t) - self.labels.take(ks))
 
     def values(self, xs):
         t = xs @ self.features.T
@@ -244,7 +257,7 @@ class LogisticProblem(FiniteSumProblem):
     def hessian(self, x):
         """Hessian (1/N) * sum_k p_k(x) (1 - p_k(x)) w_k w_k^T, symmetrized."""
         x = self._check_dim(x)
-        p = expit(self.features @ x)
+        p = _logistic(self.features @ x)
         weighted = self.features * (p * (1.0 - p))[:, None]
         h = weighted.T @ self.features / self.n_components
         return (h + h.T) / 2.0
@@ -255,29 +268,28 @@ class LogisticProblem(FiniteSumProblem):
         return float(np.mean(norms2 ** (2 * p)) / 4**p)
 
 
-def solve_minimizer(
-    problem: FiniteSumProblem,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """Reference minimizer with gradient-norm stopping rule ||grad f|| <= tol.
+# Newton's stopping rule ||grad f|| <= _NEWTON_TOL, and its iteration budget.
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 200
+
+
+def solve_minimizer(problem: FiniteSumProblem) -> np.ndarray:
+    """Reference minimizer with stopping rule ||grad f|| <= ``_NEWTON_TOL``.
 
     A closed-form minimizer is returned as it is.  Otherwise a
     damped Newton iteration is used: full Newton step, halved while the
     objective value increases; a family without a Hessian raises its
-    NotImplementedError.  Non-convergence within ``max_iter`` raises
+    NotImplementedError.  Non-convergence within ``_NEWTON_MAX_ITER`` steps raises
     :class:`MinimizerError` carrying the last gradient norm; separable
     logistic data (minimizer at infinity) surfaces either that way or through
     the flat-ray check below.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     x_star = problem.closed_form_minimizer()
     if x_star is not None:
         return x_star
 
     x = np.zeros(problem.dim)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         hess = problem.hessian(x)
         grad = problem.full_gradient(x)
         grad_norm = float(np.linalg.norm(grad))
@@ -288,12 +300,12 @@ def solve_minimizer(
                 "singular Hessian during Newton iteration; "
                 "consider adding a small ridge term to the data"
             ) from exc
-        if grad_norm <= tol:
+        if grad_norm <= _NEWTON_TOL:
             # On separable data the loss plateaus along a ray: the gradient
             # decays below any tolerance while the quadratic model still
             # proposes a macroscopic move.  A genuine interior minimizer has
             # a Newton step that vanishes together with the gradient.
-            if float(np.linalg.norm(step)) > np.sqrt(tol) * (
+            if float(np.linalg.norm(step)) > np.sqrt(_NEWTON_TOL) * (
                 1.0 + float(np.linalg.norm(x))
             ):
                 raise MinimizerError(
@@ -314,8 +326,9 @@ def solve_minimizer(
         x = x + t * step
     grad_norm = float(np.linalg.norm(problem.full_gradient(x)))
     raise MinimizerError(
-        f"Newton did not reach gradient norm {tol} in {max_iter} iterations "
-        f"(last gradient norm {grad_norm:.3e}); the minimizer may lie at infinity"
+        f"Newton did not reach gradient norm {_NEWTON_TOL} in {_NEWTON_MAX_ITER} "
+        f"iterations (last gradient norm {grad_norm:.3e}); the minimizer may "
+        "lie at infinity"
     )
 
 
@@ -454,7 +467,7 @@ def random_logistic(
     rng = np.random.default_rng(seed)
     features = feature_scale * rng.standard_normal((n_components, dim))
     x_true = parameter_scale * rng.standard_normal(dim)
-    labels = (rng.random(n_components) < expit(features @ x_true)).astype(float)
+    labels = (rng.random(n_components) < _logistic(features @ x_true)).astype(float)
     return LogisticProblem(
         features,
         labels,

@@ -1,10 +1,14 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lambda_saga
 from lambda_saga import MinimizerError, cli
 from lambda_saga.cli import main
 
@@ -183,6 +187,28 @@ class TestRatesCommand:
         summary = read_summary(latest_output(tmp_path, "rates"))
         est = summary["estimates"]["lambda=0.0,p=1"]
         assert est["checkpoints"] == [200, 500]
+
+    @pytest.mark.parametrize("mu, warns", [("1", True), ("0.5", False)])
+    def test_mu_above_rho_warns(self, tmp_path, capsys, mu, warns):
+        # rho, the smallest Hessian eigenvalue at x*, is 0.881 on this spec.
+        code = main([
+            "rates", "--problem", '{"type": "logistic", "n": 100, "d": 5, "seed": 2024}',
+            "--lambda", "0.5", "--p", "1", "--p", "2", "--mu", mu,
+            "--checkpoints", "200,1000", "--reps", "8", "--seed", "2",
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        printed = capsys.readouterr().out
+        summary = read_summary(latest_output(tmp_path, "rates"))
+        for p in (1, 2):
+            flagged = [w for w in summary["estimates"][f"lambda=0.5,p={p}"]["warnings"]
+                       if "exceeds rho" in w]
+            assert flagged == (["mu=1 exceeds rho=0.881088, the smallest Hessian "
+                                "eigenvalue at x*, which bounds every secant "
+                                "constant"] if warns else [])
+        assert printed.count("exceeds rho") == (2 if warns else 0)
+        if warns:
+            assert summary["had_warnings"] is True
 
     def test_logistic_requires_mu(self, tmp_path, capsys):
         code = main([
@@ -569,3 +595,22 @@ def test_rates_runs_one_ensemble_per_lambda(tmp_path, monkeypatch):
     assert main(argv + ["--p", "2"]) == 0
     alone = read_summary(latest_output(tmp_path, "rates"))["estimates"]
     assert alone["lambda=0.5,p=2"] == together["lambda=0.5,p=2"]
+
+
+def test_logistic_run_without_scipy(tmp_path):
+    # The library needs numpy alone: with scipy unimportable, a logistic run
+    # goes through main to exit 0.
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from lambda_saga.cli import main\n"
+        f"sys.exit(main(['run', '--problem', {LOGIT!r}, '--iters', '2000',"
+        f" '--out-dir', {str(tmp_path)!r}]))\n"
+    )
+    src = str(Path(lambda_saga.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (latest_output(tmp_path, "run") / "summary.json").exists()

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from references import component_value
+from scipy.special import expit
 
 from lambda_saga import (
     FactoredRows,
@@ -14,6 +17,7 @@ from lambda_saga import (
     random_quadratic,
     solve_minimizer,
 )
+from lambda_saga.problems import _logistic
 
 
 def finite_difference_gradient(f, x, h=1e-5):
@@ -164,6 +168,33 @@ class TestLogistic:
         assert np.isfinite(problem.value(x))
         assert np.isfinite(problem.component_gradient(0, x)).all()
 
+    def test_link_tracks_expit(self):
+        # Within 4 ulp of scipy's expit wherever expit is a normal float.
+        t = np.concatenate([np.linspace(-745.0, 800.0, 400_001),
+                            np.random.default_rng(0).uniform(-40.0, 40.0, 400_000)])
+        reference = expit(t)
+        normal = reference >= np.finfo(float).tiny
+        ulps = np.abs(_logistic(t) - reference)[normal] / np.spacing(reference[normal])
+        assert ulps.max() <= 4.0
+
+    def test_link_tails_are_exact_and_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t, p in ((-800.0, 0.0), (-1e308, 0.0), (800.0, 1.0), (1e308, 1.0),
+                         (-1000.0, 0.0), (1000.0, 1.0)):
+                assert _logistic(t) == p
+                assert _logistic(np.array([t]))[0] == p
+
+    def test_link_float_gives_the_bits_of_an_array(self):
+        rng = np.random.default_rng(1)
+        t = np.concatenate([rng.standard_normal(500) * 10.0,
+                            rng.uniform(-750.0, 750.0, 500), [708.9, 709.0, 709.1]])
+        batched = _logistic(t)
+        for i, ti in enumerate(t):
+            assert _logistic(float(ti)).tobytes() == batched[i].tobytes()
+            assert _logistic(t[i:i + 1]).tobytes() == batched[i].tobytes()
+        assert _logistic(t[1::3]).tobytes() == batched[1::3].tobytes()
+
     def test_growth_constant_single_feature(self):
         problem = LogisticProblem(np.array([[2.0, 0.0]]), np.array([1.0]))
         assert problem.growth_constant(1) == pytest.approx(4.0)
@@ -233,7 +264,7 @@ class TestSolveMinimizer:
         assert np.all(quad.full_gradient(x_hat) == 0.0)
 
     def test_logistic_reaches_tolerance(self, logit):
-        x_hat = solve_minimizer(logit, tol=1e-10)
+        x_hat = solve_minimizer(logit)
         assert np.linalg.norm(logit.full_gradient(x_hat)) <= 1e-10
 
     def test_separable_data_errors(self):
@@ -241,12 +272,12 @@ class TestSolveMinimizer:
         features = np.linspace(1.0, 2.0, 12)[:, None]
         problem = LogisticProblem(features, np.ones(12))
         with pytest.raises(MinimizerError):
-            solve_minimizer(problem, max_iter=60)
+            solve_minimizer(problem)
 
     def test_newton_agrees_with_long_stochastic_run(self):
         # frozen from a 1e7-iteration lam=1 run (seed 2718) on this instance
         problem = random_logistic(50, 5, seed=405)
-        x_hat = solve_minimizer(problem, tol=1e-10)
+        x_hat = solve_minimizer(problem)
         assert np.linalg.norm(problem.full_gradient(x_hat)) <= 1e-10
         x_long_run = np.array(ORACLE_LONG_RUN)
         assert np.abs(x_hat - x_long_run).max() <= 1e-4
