@@ -83,11 +83,13 @@ _CONFIG_KEYS = {
     "c": _Key(1.0, "--c", dict(type=float, help="step scale")),
     "alpha": _Key(1.0, "--alpha", dict(
         type=float, help="step decay exponent in (1/2, 1]")),
-    "iters": _Key(10_000, "--iters", dict(type=int, help="iterations per run")),
-    "reps": _Key(100, "--reps", dict(type=int, help="Monte-Carlo replications")),
+    "iters": _Key(10_000, "--iters", dict(
+        type=int, help="iterations per run"), minimum=1),
+    "reps": _Key(100, "--reps", dict(
+        type=int, help="Monte-Carlo replications"), minimum=1),
     "seed": _Key(0, "--seed", dict(type=int, help="base seed")),
     "diag_every": _Key(1000, "--diag-every", dict(
-        type=int, help="snapshot cadence in iterations")),
+        type=int, help="snapshot cadence in iterations"), minimum=1),
     "dataset": _Key(None, "--dataset", dict(help="path to a dataset file")),
     "format": _Key("dense-csv", "--format", dict(
         choices=["dense-csv", "svmlight"], help="dataset file format")),

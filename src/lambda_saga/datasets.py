@@ -230,7 +230,7 @@ def _read_svmlight(path: Path):
                 labels.append(float(parts[0]))
             except ValueError:
                 raise DatasetError(f"{path}: row {i}: non-numeric label") from None
-            pairs = []
+            pairs = {}
             for token in parts[1:]:
                 try:
                     idx_s, val_s = token.split(":", 1)
@@ -241,14 +241,18 @@ def _read_svmlight(path: Path):
                     ) from None
                 if idx < 1:
                     raise DatasetError(f"{path}: row {i}: feature index {idx} < 1")
-                pairs.append((idx, val))
+                if idx in pairs:
+                    raise DatasetError(f"{path}: row {i}: feature index {idx} repeated")
+                pairs[idx] = val
                 max_idx = max(max_idx, idx)
             entries.append(pairs)
             lines.append(i)
     if not entries:
         raise DatasetError(f"{path}: no rows")
+    if not max_idx:
+        raise DatasetError(f"{path}: no row has a feature")
     features = np.zeros((len(entries), max_idx))
     for row, pairs in enumerate(entries):
-        for idx, val in pairs:
+        for idx, val in pairs.items():
             features[row, idx - 1] = val
     return features, np.array(labels, dtype=float), lines

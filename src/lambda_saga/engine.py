@@ -19,19 +19,21 @@ every N steps (resync) to keep floating-point drift bounded.
 
 The step is written once, in ``_steps``, for M replications at a time: an
 :class:`OptimizerState` holds (M, d) iterates and table means and the
-gradient tables of all M replications, and ``_advance`` runs the steps in
-blocks of 4,096, each sampler drawing a block's indices in one call.  A
-scalar :func:`run` is the case M = 1 and :func:`run_ensemble` runs M,
-both started by ``_start`` and driven by ``_drive``, so a replication of an
-ensemble is bit for bit the scalar run with its seed.
+gradient tables of all M replications.  ``_drive`` runs the steps in blocks
+of 4,096, each sampler drawing a block's indices in one call, and records
+snapshots and checkpoints between kernel calls, so ``_steps`` knows nothing
+of them.  A scalar :func:`run` is the case M = 1 and :func:`run_ensemble`
+runs M, both started by ``_start`` and driven by ``_drive``, so a
+replication of an ensemble is bit for bit the scalar run with its seed.
 
 A block's (4096, M) indices are held in the narrowest unsigned type that
 holds N - 1 (``np.min_scalar_type``: uint8 up to N = 256, uint16 up to
 65,536), an eighth of int64's bytes for small N.  The samplers still draw
 int64 from their unchanged streams and every index is below N, so storing
 it narrows no value.  The steps run on intp indices: the block is widened
-64 steps at a time, so the flat table row k*M + m cannot wrap in a narrow
-type and neither ``take`` nor the row arithmetic casts on every step.
+one kernel call, at most 64 steps, at a time, so the flat table row k*M + m
+cannot wrap in a narrow type and neither ``take`` nor the row arithmetic
+casts on every step.
 
 The gradient tables of all replications form one component-major table, in
 one of two forms chosen from what the problem's ``gradient_table`` returns:
@@ -72,6 +74,7 @@ tracked in traces:
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import time
@@ -89,8 +92,9 @@ class RunError(RuntimeError):
     pass
 
 
-# Steps per block of ``_advance``, which draws the indices, makes the step
-# sizes and checks the iterates for finiteness once per block.
+# Steps per block of ``_drive``, which draws the indices, makes the step
+# sizes and checks the iterates for finiteness once per block, and records
+# between its kernel calls, never inside one.
 _STEP_BLOCK = 4096
 
 
@@ -164,14 +168,15 @@ def _table_mean(table: np.ndarray) -> np.ndarray:
 _RESYNC_SLAB = 1 << 16
 
 
-def _scalar_table_mean(features, s, chunk_rows=None) -> np.ndarray:
+def _scalar_table_mean(features, s) -> np.ndarray:
     """``_table_mean`` of the table with rows ``features[k] * s[k, m]``,
     without forming it.
 
-    For d > 1 the rows are formed ``chunk_rows`` components at a time and
-    added in sequence: the running sum enters each chunk as an addend of its
-    first row, and numpy's reduction over the chunk's outer axis continues it,
-    so the additions happen in the order of the whole table's reduction.
+    For d > 1 the rows are formed ``_RESYNC_SLAB // (M * d)`` components,
+    at least one, at a time and added in sequence: the running sum enters
+    each chunk as an addend of its first row, and numpy's reduction over the
+    chunk's outer axis continues it, so the additions happen in the order of
+    the whole table's reduction.
     For d == 1 the whole (N, M, 1) table is only N*M floats, as large as
     ``s``, and goes to ``_table_mean``.
     """
@@ -179,8 +184,7 @@ def _scalar_table_mean(features, s, chunk_rows=None) -> np.ndarray:
     dim = features.shape[1]
     if dim == 1:
         return _table_mean((features * s)[:, :, None])
-    if chunk_rows is None:
-        chunk_rows = max(1, _RESYNC_SLAB // (m * dim))
+    chunk_rows = max(1, _RESYNC_SLAB // (m * dim))
     total = np.empty((m, dim))
     for start in range(0, n_comp, chunk_rows):
         stop = min(start + chunk_rows, n_comp)
@@ -334,8 +338,7 @@ def init_state(
                   () if seed is None else (seed,))
 
 
-def _steps(state: OptimizerState, problem, lam, gammas, ks, snapshot_at=(),
-           record=None) -> None:
+def _steps(state: OptimizerState, problem, lam, gammas, ks) -> None:
     """Take one step of every replication per entry of ``gammas``: step j
     has step size gammas[j], and replication m samples component ks[j, m],
     an intp array.
@@ -344,9 +347,7 @@ def _steps(state: OptimizerState, problem, lam, gammas, ks, snapshot_at=(),
     is overwritten with the component gradient at the old iterate.  Every
     operation runs in place, in the order the module docstring gives.  A
     raising gradient hook becomes a RunError naming the state counter of
-    its step.  After a step
-    that reaches a state counter in ``snapshot_at``, ``record(state)`` is
-    called.
+    its step.
     """
     x, mean, table = state.x, state.mean, state.table
     row, direction, scratch = table.row, state.direction, state.scratch
@@ -382,8 +383,6 @@ def _steps(state: OptimizerState, problem, lam, gammas, ks, snapshot_at=(),
             mean = state.mean = table.mean()
             state.since_resync = 0
         state.n += 1
-        if state.n in snapshot_at:
-            record(state)
 
 
 def lambda_saga_step(
@@ -405,43 +404,56 @@ def lambda_saga_step(
 # Samplers filled into one tile before its transpose is copied into the
 # (block, M) index array; a column per sampler would be a strided write.
 _SAMPLER_TILE = 64
-# Steps of a block widened to intp at a time: 1 MB at M = 2000.
+# Most steps of a block widened to intp at a time: 1 MB at M = 2000.
 _WIDE_STEPS = 64
 
 
-def _advance(state, problem, lam, schedule, n_iters, snapshot_at, record, name):
+def _drive(state, problem, lam, schedule, n_iters, record_at, record, name):
     """Run ``n_iters`` steps, replication m drawing from ``state.samplers[m]``,
-    with step size gamma(n) at state counter n; ``snapshot_at`` and ``record``
-    go to ``_steps``.  Each block of ``_STEP_BLOCK`` steps ends with a
-    finiteness check, which names the first replication r with a non-finite
-    iterate as ``name(r)``.
+    with step size gamma(n) at state counter n, and call ``record(state)``
+    at each state counter in ``record_at``, a sorted sequence of distinct
+    counters, that the state holds, the initial one included.  Each block
+    of ``_STEP_BLOCK`` steps ends with a finiteness check, which names the
+    first replication r with a non-finite iterate as ``name(r)``.
 
-    The block's indices and the sampler tile are of the narrowest unsigned
-    type holding N - 1: the tile assignment narrows each int64 draw, which
-    lies in [0, N), without changing it.  ``_steps`` takes them widened to
-    intp, ``_WIDE_STEPS`` steps at a time.
+    A block's ``_steps`` calls end at each ``_WIDE_STEPS`` boundary and at
+    each counter of ``record_at`` inside the block, found by bisection, and
+    the records run between those calls.  The block's indices and the
+    sampler tile are of the narrowest unsigned type holding N - 1: the tile
+    assignment narrows each int64 draw, which lies in [0, N), without
+    changing it.  Each call takes its steps' indices widened to intp.
     """
     m = len(state.x)
     samplers = state.samplers
     narrow = np.min_scalar_type(state.n_components - 1)
     ks = np.empty((min(_STEP_BLOCK, n_iters), m), dtype=narrow)
     tile = np.empty((min(_SAMPLER_TILE, m), ks.shape[0]), dtype=narrow)
-    done = 0
-    while done < n_iters:
-        block = min(_STEP_BLOCK, n_iters - done)
+    due = bisect.bisect_left(record_at, state.n)
+    if due < len(record_at) and record_at[due] == state.n:
+        record(state)
+        due += 1
+    end = state.n + n_iters
+    for n_first in range(state.n, end, _STEP_BLOCK):
+        block = min(_STEP_BLOCK, end - n_first)
         for first in range(0, m, _SAMPLER_TILE):
             group = samplers[first:first + _SAMPLER_TILE]
             for i, sampler in enumerate(group):
                 tile[i, :block] = sampler.take(block)
             ks[:block, first:first + len(group)] = tile[:len(group), :block].T
-        n_first = state.n
         gammas = schedule.gammas(n_first, n_first + block - 1).tolist()
-        block_ks = ks[:block]
+        # Counter n is reached after the block's first n - n_first steps.
+        inside = record_at[due:bisect.bisect_right(record_at, n_first + block, due)]
+        cuts = sorted({*range(_WIDE_STEPS, block, _WIDE_STEPS), block,
+                       *(n - n_first for n in inside)})
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            for s in range(0, block, _WIDE_STEPS):
-                _steps(state, problem, lam, gammas[s:s + _WIDE_STEPS],
-                       block_ks[s:s + _WIDE_STEPS].astype(np.intp), snapshot_at,
-                       record)
+            start = 0
+            for stop in cuts:
+                _steps(state, problem, lam, gammas[start:stop],
+                       ks[start:stop].astype(np.intp))
+                start = stop
+                if due < len(record_at) and record_at[due] == state.n:
+                    record(state)
+                    due += 1
         finite = np.isfinite(state.x).all(axis=1)
         if not finite.all():
             r = int(np.flatnonzero(~finite)[0])
@@ -449,20 +461,6 @@ def _advance(state, problem, lam, schedule, n_iters, snapshot_at, record, name):
                 f"{name(r)} has a non-finite iterate at a state counter in "
                 f"n={n_first + 1}..{state.n}"
             )
-        done += block
-
-
-def _drive(state, problem, lam, schedule, n_iters, record_at, record, name,
-           ends=False):
-    """Take ``n_iters`` steps of every replication of ``state``, calling
-    ``record(state)`` at each state counter in ``record_at`` that a step
-    reaches and, with ``ends``, at the first and the last state too, once
-    each.  ``name`` goes to ``_advance``."""
-    if ends:
-        record(state)
-    _advance(state, problem, lam, schedule, n_iters, record_at, record, name)
-    if ends and n_iters and state.n not in record_at:
-        record(state)
 
 
 # -- diagnostics ------------------------------------------------------------------
@@ -576,7 +574,7 @@ def run(
     if n_iters < 0:
         raise ValueError("n_iters must be nonnegative")
     if diag_every <= 0:
-        raise ValueError("cadence must be positive")
+        raise ValueError(f"diag_every must be positive, got {diag_every}")
 
     state = _start(problem, _initial_point(problem, x0), (seed,))
     start = time.perf_counter()
@@ -591,9 +589,9 @@ def run(
     def record(state):
         trace.snapshots.append(diagnostics(state, problem, x_ref, schedule))
 
-    _drive(state, problem, lam, schedule, n_iters,
-           range(diag_every, n_iters + 2, diag_every), record,
-           lambda r: f"run with seed {seed}", ends=True)
+    counters = sorted({1, *range(diag_every, n_iters + 1, diag_every), n_iters + 1})
+    _drive(state, problem, lam, schedule, n_iters, counters, record,
+           lambda r: f"run with seed {seed}")
     trace.final_iterate = state.x[0].copy()
     trace.wall_time_s = time.perf_counter() - start
     return trace
@@ -705,7 +703,7 @@ def _run_chunk(problem, lam, schedule, n_iters, seeds, first_index, x_ref,
             sq_error[n_state] = ((x - x_ref) ** 2).sum(axis=1)
             value_gap[n_state] = problem.values(x) - f_ref
 
-    _drive(state, problem, lam, schedule, n_iters, set(checkpoints), record,
+    _drive(state, problem, lam, schedule, n_iters, sorted(set(checkpoints)), record,
            lambda r: f"replication {first_index + r} (seed {seeds[r]})")
     return EnsembleResult(list(seeds), state.x,
                           np.linalg.norm(state.mean, axis=1),

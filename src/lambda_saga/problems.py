@@ -115,7 +115,7 @@ class QuadraticProblem(FiniteSumProblem):
 
     def __init__(self, anchors: np.ndarray, metadata: dict | None = None):
         anchors = np.asarray(anchors, dtype=float)
-        if anchors.ndim != 2 or anchors.shape[0] < 1:
+        if anchors.ndim != 2 or 0 in anchors.shape:
             raise ValueError("anchors must be a nonempty (N, d) array")
         self.anchors = anchors
         self.n_components, self.dim = anchors.shape
@@ -211,7 +211,7 @@ class LogisticProblem(FiniteSumProblem):
     ):
         features = np.asarray(features, dtype=float)
         labels = np.asarray(labels, dtype=float)
-        if features.ndim != 2 or features.shape[0] < 1:
+        if features.ndim != 2 or 0 in features.shape:
             raise ValueError("features must be a nonempty (N, d) array")
         if labels.shape != (features.shape[0],):
             raise ValueError(

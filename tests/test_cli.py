@@ -306,6 +306,11 @@ class TestInvalidInputs:
         ("rates", "epoch_size", "--epoch-size", 0, 1),
         ("check", "sample_count", "--sample-count", 0, 1),
         ("lemmas", "pairs", "--pairs", 2, 3),
+        ("run", "diag_every", "--diag-every", 0, 1),
+        ("run", "iters", "--iters", 0, 1),
+        ("clt", "iters", "--iters", 0, 1),
+        ("rates", "reps", "--reps", 0, 1),
+        ("clt", "reps", "--reps", -3, 1),
     ])
     def test_out_of_range_value_named(self, tmp_path, capsys, command, key, flag,
                                       value, least):
@@ -493,11 +498,16 @@ class TestFailedCommands:
           "--iters", "5000"], 1, "non-finite iterate"),
         (["rates", "--dataset", "SEPARABLE", "--mu", "0.5", "--reps", "2",
           "--checkpoints", "10,20"], 1, "separable data?"),
-    ], ids=["clt-seed", "run-diverges", "rates-separable"])
+        (["run", "--dataset", "LABELS", "--format", "svmlight", "--iters", "10"],
+         2, "labels.svm: no row has a feature"),
+    ], ids=["clt-seed", "run-diverges", "rates-separable", "run-svmlight-labels-only"])
     def test_one_error_line_and_no_directory(self, tmp_path, capsys, argv, code, cause):
         data = tmp_path / "separable.csv"
         data.write_text("0,1.0,0.0\n7,-1.0,0.0\n3,2.0,1.0\n8,-2.0,-1.0\n")
-        argv = [str(data) if a == "SEPARABLE" else a for a in argv]
+        labels = tmp_path / "labels.svm"
+        labels.write_text("0\n1\n0\n")
+        files = {"SEPARABLE": str(data), "LABELS": str(labels)}
+        argv = [files.get(a, a) for a in argv]
         out = tmp_path / "out"
         assert main(argv + ["--out-dir", str(out)]) == code
         err = capsys.readouterr().err

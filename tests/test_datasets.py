@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambda_saga import DIGIT_SPLIT, DatasetError, LabelRule, datasets, load_dataset
+from lambda_saga import (DIGIT_SPLIT, DatasetError, LabelRule, LogisticProblem,
+                         QuadraticProblem, datasets, load_dataset)
 
 
 def write(tmp_path, name, text):
@@ -202,6 +203,25 @@ class TestSvmlight:
         path = write(tmp_path, "data.svm", "# header\n0 1:1.0\n\n9 1:2.0 # tail\n")
         problem = load_dataset(path, format="svmlight")
         assert problem.n_components == 2
+
+    def test_labels_only_file_named(self, tmp_path):
+        path = write(tmp_path, "labels.svm", "0\n1 # no features\n\n0\n")
+        with pytest.raises(DatasetError, match=f"{path}: no row has a feature"):
+            load_dataset(path, format="svmlight")
+
+    def test_repeated_index_named(self, tmp_path):
+        path = write(tmp_path, "data.svm", "0 1:1.0 2:3.0\n\n1 2:1.0 1:1.0 2:2.0\n")
+        with pytest.raises(DatasetError, match="row 3: feature index 2 repeated"):
+            load_dataset(path, format="svmlight")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QuadraticProblem(np.zeros((3, 0))),
+    lambda: LogisticProblem(np.zeros((3, 0)), np.zeros(3)),
+], ids=["quadratic", "logistic"])
+def test_problems_reject_zero_features(make):
+    with pytest.raises(ValueError, match=r"must be a nonempty \(N, d\) array"):
+        make()
 
 
 def test_unknown_format(tmp_path):

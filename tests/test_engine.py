@@ -20,7 +20,7 @@ from lambda_saga import (
     write_trace_csv,
     write_trace_metadata,
 )
-from lambda_saga.engine import _advance
+from lambda_saga.engine import _drive
 
 
 @pytest.fixture
@@ -154,8 +154,8 @@ class TestGradientTable:
             assert state.since_resync == n_comp - 1
             drifts.append(np.abs(state.mean - state.table.mean()).max())
 
-        _advance(state, problem, lam, StepSchedule(c, alpha), 3 * n_comp,
-                 range(n_comp, 3 * n_comp + 1, n_comp), record, str)
+        _drive(state, problem, lam, StepSchedule(c, alpha), 3 * n_comp,
+               range(n_comp, 3 * n_comp + 1, n_comp), record, str)
         assert len(drifts) == 3
         assert max(drifts) <= 1e-8
 
@@ -355,7 +355,7 @@ class TestRun:
 
     def test_cadence_must_be_positive(self):
         problem = random_quadratic(5, 2, seed=9)
-        with pytest.raises(ValueError, match="cadence must be positive"):
+        with pytest.raises(ValueError, match="diag_every must be positive, got 0"):
             run(problem, 0.5, StepSchedule(1.0, 1.0), 10, seed=0, diag_every=0)
 
     def test_deterministic_given_seed(self):
@@ -396,6 +396,54 @@ class TestRun:
         # Steps near 1e6 overflow the iterate to inf and then nan.
         with pytest.raises(RunError, match=r"seed 3 .*non-finite.*n=2\.\.201"):
             run(random_quadratic(10, 2, 1), 0.5, StepSchedule(1e6, 0.51), 200, 3)
+
+
+def driven(problem, m, seed, lam, schedule, n_iters, counters=()):
+    """A fresh M-replication state driven ``n_iters`` steps with
+    ``counters`` recorded; returns it, the (counter, iterates) records and
+    each sampler's ``take`` counts."""
+    samplers = [IndexSampler(seed + i, problem.n_components) for i in range(m)]
+    takes = [[] for _ in samplers]
+    for sampler, counts in zip(samplers, takes):
+        def take(count, draw=sampler.take, counts=counts):
+            counts.append(count)
+            return draw(count)
+        sampler.take = take
+    x0 = np.linspace(-1.0, 1.0, problem.dim)
+    state = OptimizerState(problem.gradient_table(x0), x0, m, samplers)
+    records = []
+    _drive(state, problem, lam, schedule, n_iters, counters,
+           lambda state: records.append((state.n, state.x.copy())), str)
+    return state, records, takes
+
+
+class TestDrive:
+    @pytest.mark.parametrize("make", [random_quadratic, random_logistic])
+    @settings(max_examples=5, deadline=None)
+    @given(m=st.sampled_from([1, 3]), n_comp=st.integers(2, 30),
+           dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           lam=st.floats(0.0, 1.0), n_iters=st.integers(4160, 4400),
+           inside=st.integers(2, 4095), extra=st.lists(st.integers(2, 4401),
+                                                      max_size=3))
+    def test_records_each_counter_once_between_kernel_calls(
+            self, make, m, n_comp, dim, seed, lam, n_iters, inside, extra):
+        problem = make(n_comp, dim, seed % 1000)
+        schedule = StepSchedule(0.5, 0.75)
+        last = n_iters + 1
+        counters = sorted({1, inside, 4096, 4097, 4160, last,
+                           *(n for n in extra if n <= last)})
+        state, records, takes = driven(problem, m, seed, lam, schedule,
+                                       n_iters, counters)
+        assert [n for n, _ in records] == counters
+        for n, x in records:
+            stopped, _, _ = driven(problem, m, seed, lam, schedule, n - 1)
+            assert x.tobytes() == stopped.x.tobytes()
+        plain, none, _ = driven(problem, m, seed, lam, schedule, n_iters)
+        assert none == [] and state.n == plain.n == last
+        assert state.x.tobytes() == plain.x.tobytes()
+        assert state.mean.tobytes() == plain.mean.tobytes()
+        assert state.table.rows().tobytes() == plain.table.rows().tobytes()
+        assert takes == [[4096, n_iters - 4096]] * m
 
 
 class TestTraceSerialization:

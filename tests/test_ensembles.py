@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -308,8 +309,9 @@ def test_scalar_table_mean_sums_in_the_dense_order(n_comp, dim, m, chunk_rows,
     features = rng.standard_normal((n_comp, dim)) * rng.integers(0, 2, (n_comp, dim))
     s = rng.standard_normal((n_comp, m)) * rng.choice([-1.0, 0.0, 1.0], (n_comp, m))
     dense = features[:, None, :] * s[:, :, None]
-    assert_same_bits(_scalar_table_mean(features, s, chunk_rows),
-                     _table_mean(dense))
+    # A slab of chunk_rows components at a time.
+    with mock.patch.object(engine, "_RESYNC_SLAB", chunk_rows * m * dim):
+        assert_same_bits(_scalar_table_mean(features, s), _table_mean(dense))
 
 
 def test_logistic_ensemble_stores_no_dense_table():
