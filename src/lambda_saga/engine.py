@@ -79,7 +79,6 @@ import csv
 import json
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -204,6 +203,7 @@ class _DenseTable:
 
     def __init__(self, rows0, m):
         n_comp, dim = rows0.shape
+        self.n_components = n_comp
         self.table = np.empty((n_comp, m, dim))
         self.table[...] = rows0[:, None, :]
         self._row_dtype = np.dtype((np.void, 8 * dim))
@@ -226,8 +226,8 @@ class _DenseTable:
         self._rows[flat] = self._fresh.view(self._row_dtype).reshape(-1)
 
     def rows(self):
-        """All stored rows, (N, M, d)."""
-        return self.table
+        """All stored rows, (N, M, d), as a new array."""
+        return self.table.copy()
 
     def mean(self):
         return _table_mean(self.table)
@@ -237,17 +237,20 @@ class _ScalarTable:
     """Stored scalars s as (N, M), for gradients given as FactoredRows.
 
     Replication m's row of component k is ``w_k * s[k, m]``, rebuilt on
-    each gather from the feature rows the fresh gradients bring.
+    each gather from the feature rows the fresh gradients bring.  The table
+    starts from the two factors of the start rows, every replication with
+    the scalars ``scalars0``.
     """
 
-    def __init__(self, rows0, m):
-        self.features = rows0.features
-        self.s = np.empty((len(rows0), m))
-        self.s[...] = rows0.scalars[:, None]
+    def __init__(self, features, scalars0, m):
+        self.n_components = len(scalars0)
+        self.features = features
+        self.s = np.empty((len(scalars0), m))
+        self.s[...] = scalars0[:, None]
         self._flat = self.s.reshape(-1)
         self._s_old = np.empty(m)
         self._s_old_column = self._s_old[:, None]
-        self.row = np.empty((m, rows0.shape[1]))
+        self.row = np.empty((m, features.shape[1]))
         self._s_new = None
 
     def load(self, flat, fresh):
@@ -274,25 +277,22 @@ class OptimizerState:
     """M replications of the optimizer, advanced in lockstep.
 
     ``x`` and ``mean`` are (M, d): each replication's iterate and the
-    incrementally kept mean of its stored gradients.  ``table`` holds the
-    stored gradients of all replications, built from ``rows0`` (the
-    ``gradient_table`` of the start point) repeated M times.  ``n`` is the
-    iteration counter, shared by all replications and starting at 1, and
-    ``samplers`` holds each replication's IndexSampler (none when the caller
-    supplies the indices).  A scalar run is the state with M = 1, whose
-    iterate is ``x[0]``.
+    incrementally kept mean of its stored gradients.  ``table``, a
+    ``_DenseTable`` or ``_ScalarTable`` of M replications, holds the stored
+    gradients of all of them.  Every replication starts at ``x1`` with the
+    same table rows, so ``mean0``, the (1, d) mean of one replication's rows,
+    repeated, is the whole table's.  ``n`` is the iteration counter, shared
+    by all replications and starting at 1, and ``samplers`` holds each
+    replication's IndexSampler (none when the caller supplies the indices).
+    A scalar run is the state with M = 1, whose iterate is ``x[0]``.
     """
 
-    def __init__(self, rows0, x1, m, samplers=()):
-        n_comp, dim = rows0.shape
-        factored = getattr(rows0, "scalars", None) is not None
-        self.table = (_ScalarTable if factored else _DenseTable)(rows0, m)
-        # Every replication starts from the same rows, so one replication's
-        # mean, repeated, is the whole table's.
-        rows0 = np.asarray(rows0, dtype=float)
-        self.mean = np.repeat(_table_mean(rows0[:, None, :]), m, axis=0)
+    def __init__(self, table, mean0, x1, samplers=()):
+        m, dim = table.row.shape
+        self.table = table
+        self.mean = np.repeat(mean0, m, axis=0)
         self.x = np.broadcast_to(np.asarray(x1, dtype=float), (m, dim)).copy()
-        self.n_components = n_comp
+        self.n_components = table.n_components
         self.n = 1
         self.samplers = list(samplers)
         self.since_resync = 0
@@ -321,10 +321,23 @@ def _start(problem, x0, seeds) -> OptimizerState:
     """Fresh state of one replication per seed, replication m drawing from
     ``IndexSampler(seeds[m])``; with no seeds, one replication without a
     sampler.  Every replication starts at ``x0``, an ``_initial_point``.
+
+    The table and its mean come from one ``gradient_table(x0)`` call.  Rows
+    given as FactoredRows are released once their mean is taken, before the
+    (N, M) scalars are allocated, so the start never holds the (N, d) rows
+    and the table at once.
     """
+    m = max(len(seeds), 1)
+    rows0 = problem.gradient_table(x0)
+    mean0 = _table_mean(np.asarray(rows0, dtype=float)[:, None, :])
+    if getattr(rows0, "scalars", None) is None:
+        table = _DenseTable(rows0, m)
+    else:
+        features, scalars0 = rows0.features, rows0.scalars
+        del rows0
+        table = _ScalarTable(features, scalars0, m)
     samplers = [IndexSampler(seed, problem.n_components) for seed in seeds]
-    return OptimizerState(problem.gradient_table(x0), x0, max(len(seeds), 1),
-                          samplers)
+    return OptimizerState(table, mean0, x0, samplers)
 
 
 def init_state(
@@ -512,6 +525,14 @@ def _ref_quantities(problem, x_ref):
     return hit
 
 
+def _mean_sq_distance(rows, rows_ref) -> float:
+    """Mean over components of ||rows[k] - rows_ref[k]||^2, overwriting
+    ``rows``, a new (N, d) array, with the squared differences."""
+    np.subtract(rows, rows_ref, out=rows)
+    np.square(rows, out=rows)
+    return float(rows.sum(axis=1).mean())
+
+
 def diagnostics(
     state: OptimizerState,
     problem: FiniteSumProblem,
@@ -522,10 +543,13 @@ def diagnostics(
     to reference point x_ref.
 
     ``tau2`` is recomputed by a fresh pass over all components at the current
-    iterate; ``a_n`` needs only the stored table rows.  ``t_n`` uses the step
-    gamma(n - 1) and needs a schedule; at the initial state n = 1, where no
-    previous step exists, gamma(1) stands in.  Without ``x_ref`` only
-    ``n`` and ``grad_eval_norm`` are recorded and the other fields are None.
+    iterate; ``a_n`` needs only the stored table rows.  Each is reduced from
+    one (N, d) array, the stored rows and then the fresh table, made into
+    squared differences in place; the first is dropped before the second is
+    made.  ``t_n`` uses the step gamma(n - 1) and needs a schedule; at the
+    initial state n = 1, where no previous step exists, gamma(1) stands in.
+    Without ``x_ref`` only ``n`` and ``grad_eval_norm`` are recorded and the
+    other fields are None.
     """
     grad_eval_norm = float(np.linalg.norm(state.mean[0]))
     if x_ref is None:
@@ -535,9 +559,8 @@ def diagnostics(
     x = state.x[0]
     diff = x - np.asarray(x_ref, dtype=float)
     v_n = float(diff @ diff)
-    rows = state.table.rows()[:, 0, :]
-    a_n = float(((rows - table_ref) ** 2).sum(axis=1).mean())
-    tau2 = float(((problem.gradient_table(x) - table_ref) ** 2).sum(axis=1).mean())
+    a_n = _mean_sq_distance(state.table.rows()[:, 0, :], table_ref)
+    tau2 = _mean_sq_distance(np.asarray(problem.gradient_table(x)), table_ref)
     t_n = None
     if schedule is not None:
         gam = schedule.gamma(max(state.n - 1, 1))
@@ -671,6 +694,10 @@ def run_ensemble(
     ]
     if workers == 1:
         return _run_chunk(*chunks[0])
+    # Imported here: multiprocessing costs every process that never starts a
+    # pool about 1.5 MiB.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return _concat_results(list(pool.map(_run_chunk, *zip(*chunks))))
 

@@ -47,7 +47,8 @@ class FiniteSumProblem:
 
     * ``component_gradient(k, x)``, one component at one point;
     * ``value(x)`` and ``full_gradient(x)``, the objective at one point;
-    * ``gradient_table(x)``, all component gradients at one point, (N, d);
+    * ``gradient_table(x)``, all component gradients at one point, (N, d),
+      as a new array, which callers may overwrite;
     * ``component_gradients(ks, xs)``, the gradient of component ks[i] at
       row xs[i], (B,) and (B, d) -> (B, d), with ``ks`` an intp array (the
       engine stores its sampled indices in a narrower type and widens them
@@ -251,8 +252,14 @@ class LogisticProblem(FiniteSumProblem):
         return factored_rows(wk, _logistic(t) - self.labels.take(ks))
 
     def values(self, xs):
+        """The objective at each row of xs, built in two (M, N) buffers: the
+        margins t, then ``logaddexp(0, t)``, from which ``labels * t`` is
+        subtracted in place."""
         t = xs @ self.features.T
-        return np.mean(np.logaddexp(0.0, t) - self.labels[None, :] * t, axis=1)
+        loss = np.logaddexp(0.0, t)
+        t *= self.labels
+        loss -= t
+        return loss.mean(axis=1)
 
     def hessian(self, x):
         """Hessian (1/N) * sum_k p_k(x) (1 - p_k(x)) w_k w_k^T, symmetrized."""

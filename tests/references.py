@@ -22,7 +22,7 @@ from scipy.linalg import expm
 
 from lambda_saga import QuadraticProblem
 from lambda_saga.asymptotics import CovarianceError, _require_symmetric
-from lambda_saga.engine import OptimizerState, _steps
+from lambda_saga.engine import OptimizerState, _DenseTable, _steps
 
 
 def sgd_reference(problem, schedule, n_iters, indices, x0):
@@ -85,8 +85,8 @@ def conditional_step_expectation(state, problem, lam, gamma, x_ref):
     """
     table_ref = problem.gradient_table(x_ref)
     n_comp = problem.n_components
-    copies = OptimizerState(state.table.rows()[:, 0, :], state.x[0], n_comp)
-    copies.mean[...] = state.mean
+    copies = OptimizerState(_DenseTable(state.table.rows()[:, 0, :], n_comp),
+                            state.mean, state.x[0])
     _steps(copies, problem, lam, (gamma,), np.arange(n_comp)[None, :])
     a_next = ((copies.table.rows() - table_ref[:, None, :]) ** 2).sum(axis=2)
     return copies.x.mean(axis=0), float(a_next.mean(axis=0).mean())

@@ -607,6 +607,17 @@ def test_rates_runs_one_ensemble_per_lambda(tmp_path, monkeypatch):
     assert alone["lambda=0.5,p=2"] == together["lambda=0.5,p=2"]
 
 
+def test_import_leaves_multiprocessing_out():
+    # The process pool's modules load only when a pool starts.
+    src = str(Path(lambda_saga.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys, lambda_saga; sys.exit('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_logistic_run_without_scipy(tmp_path):
     # The library needs numpy alone: with scipy unimportable, a logistic run
     # goes through main to exit 0.

@@ -5,7 +5,6 @@ from references import conditional_step_expectation, saga_reference, sgd_referen
 
 from lambda_saga import (
     IndexSampler,
-    OptimizerState,
     QuadraticProblem,
     RunError,
     StepSchedule,
@@ -20,7 +19,7 @@ from lambda_saga import (
     write_trace_csv,
     write_trace_metadata,
 )
-from lambda_saga.engine import _drive
+from lambda_saga.engine import _drive, _start
 
 
 @pytest.fixture
@@ -145,9 +144,8 @@ class TestGradientTable:
         # N - 1 incremental updates since the last resync, the most it ever
         # takes; compare it there with the exact mean of its table.
         problem = make(n_comp, dim, problem_seed)
-        samplers = [IndexSampler(sampler_seed + i, n_comp) for i in range(m)]
         x0 = np.array(x0[:dim])
-        state = OptimizerState(problem.gradient_table(x0), x0, m, samplers)
+        state = _start(problem, x0, [sampler_seed + i for i in range(m)])
         drifts = []
 
         def record(state):
@@ -402,15 +400,14 @@ def driven(problem, m, seed, lam, schedule, n_iters, counters=()):
     """A fresh M-replication state driven ``n_iters`` steps with
     ``counters`` recorded; returns it, the (counter, iterates) records and
     each sampler's ``take`` counts."""
-    samplers = [IndexSampler(seed + i, problem.n_components) for i in range(m)]
-    takes = [[] for _ in samplers]
-    for sampler, counts in zip(samplers, takes):
+    state = _start(problem, np.linspace(-1.0, 1.0, problem.dim),
+                   [seed + i for i in range(m)])
+    takes = [[] for _ in state.samplers]
+    for sampler, counts in zip(state.samplers, takes):
         def take(count, draw=sampler.take, counts=counts):
             counts.append(count)
             return draw(count)
         sampler.take = take
-    x0 = np.linspace(-1.0, 1.0, problem.dim)
-    state = OptimizerState(problem.gradient_table(x0), x0, m, samplers)
     records = []
     _drive(state, problem, lam, schedule, n_iters, counters,
            lambda state: records.append((state.n, state.x.copy())), str)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import tracemalloc
 from unittest import mock
 
@@ -145,7 +146,7 @@ def no_pool(*args, **kwargs):
 @pytest.mark.parametrize("entry", ["run", "run_ensemble-1", "run_ensemble-2"])
 def test_x0_of_wrong_dimension_named(entry, monkeypatch):
     # A bad x0 is found before any worker process starts.
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     problem = random_quadratic(5, 2, 1)
     schedule = StepSchedule(1.0, 1.0)
     calls = {
@@ -160,7 +161,7 @@ def test_x0_of_wrong_dimension_named(entry, monkeypatch):
 
 
 def test_bad_seed_named_before_pool_starts(monkeypatch):
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with pytest.raises(ValueError, match=r"^seed -1 must lie in \[0, 2\*\*128\)$"):
         run_ensemble(random_quadratic(5, 2, 1), 0.5, StepSchedule(1.0, 1.0), 10,
                      4, -1, workers=2)
@@ -342,6 +343,47 @@ def test_samplers_hold_no_draws():
     finally:
         tracemalloc.stop()
     assert peak < 2 * index_block_bytes
+
+
+def peak_bytes(call):
+    """Peak bytes traced while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_start_holds_rows_or_scalar_table_not_both(m):
+    # The start's (N, d) rows are released before the (N, M) scalars are
+    # allocated; holding both exceeds the bound at either M.
+    problem = random_logistic(4000, 50, seed=5)
+    rows = problem.n_components * problem.dim * 8
+    table = problem.n_components * m * 8
+    x0, seeds = np.zeros(problem.dim), derive_seeds(0, m)
+    peak = peak_bytes(lambda: engine._start(problem, x0, seeds))
+    assert peak < max(rows, table) + min(rows, table) / 2
+
+
+def test_logistic_values_hold_two_margin_arrays():
+    problem = random_logistic(4000, 50, seed=5)
+    xs = np.random.default_rng(0).standard_normal((16, problem.dim))
+    peak = peak_bytes(lambda: problem.values(xs))
+    assert peak < 2.5 * len(xs) * problem.n_components * 8
+
+
+@pytest.mark.parametrize("make", [random_quadratic, random_logistic])
+def test_diagnostics_hold_one_table_at_a_time(make):
+    # Once the reference table is cached, a snapshot forms one (N, d) array
+    # at a time: the stored rows, then the fresh table.
+    problem = make(4000, 50, 5)
+    x_ref = solve_minimizer(problem)
+    state = engine.init_state(problem, np.ones(problem.dim), seed=0)
+    engine.diagnostics(state, problem, x_ref)
+    peak = peak_bytes(lambda: engine.diagnostics(state, problem, x_ref))
+    assert peak < 1.5 * problem.n_components * problem.dim * 8
 
 
 class TestConvergenceProxy:
