@@ -607,14 +607,18 @@ def test_rates_runs_one_ensemble_per_lambda(tmp_path, monkeypatch):
     assert alone["lambda=0.5,p=2"] == together["lambda=0.5,p=2"]
 
 
-def test_import_leaves_multiprocessing_out():
-    # The process pool's modules load only when a pool starts.
+def run_python(script):
+    """``script`` run by a fresh interpreter that imports this lambda_saga."""
     src = str(Path(lambda_saga.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    script = "import sys, lambda_saga; sys.exit('multiprocessing' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_import_leaves_multiprocessing_out():
+    # The process pool's modules load only when a pool starts.
+    proc = run_python("import sys, lambda_saga; sys.exit('multiprocessing' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -628,10 +632,6 @@ def test_logistic_run_without_scipy(tmp_path):
         f"sys.exit(main(['run', '--problem', {LOGIT!r}, '--iters', '2000',"
         f" '--out-dir', {str(tmp_path)!r}]))\n"
     )
-    src = str(Path(lambda_saga.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
     assert (latest_output(tmp_path, "run") / "summary.json").exists()

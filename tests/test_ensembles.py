@@ -315,17 +315,22 @@ def test_scalar_table_mean_sums_in_the_dense_order(n_comp, dim, m, chunk_rows,
         assert_same_bits(_scalar_table_mean(features, s), _table_mean(dense))
 
 
+def peak_bytes(call):
+    """Peak bytes traced while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_logistic_ensemble_stores_no_dense_table():
     problem = random_logistic(4000, 50, seed=5)
     m = 8
     dense_table_bytes = problem.n_components * m * problem.dim * 8
-    tracemalloc.start()
-    try:
-        run_ensemble(problem, 0.5, StepSchedule(1.0, 0.75), 9000, m,
-                     base_seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: run_ensemble(problem, 0.5, StepSchedule(1.0, 0.75),
+                                           9000, m, base_seed=1))
     assert peak < dense_table_bytes / 4
 
 
@@ -336,23 +341,9 @@ def test_samplers_hold_no_draws():
     problem = random_quadratic(20, 2, 1)
     m, n = 500, 4096
     index_block_bytes = n * m
-    tracemalloc.start()
-    try:
-        run_ensemble(problem, 0.5, StepSchedule(1.0, 1.0), n, m, base_seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: run_ensemble(problem, 0.5, StepSchedule(1.0, 1.0),
+                                           n, m, base_seed=0))
     assert peak < 2 * index_block_bytes
-
-
-def peak_bytes(call):
-    """Peak bytes traced while ``call()`` runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("m", [16, 64])
