@@ -340,15 +340,10 @@ def cmd_run(config, out: Path):
             f"final grad_eval_norm={final_norms[str(lam)]:.6e}"
         )
 
-    lam_order = [str(l) for l in config["lambdas"]]
     summary = {
         "problem": problem.describe(),
         "schedule": {"c": schedule.c, "alpha": schedule.alpha},
         "final_grad_eval_norm": final_norms,
-        "non_increasing_in_lambda": all(
-            final_norms[a] >= final_norms[b]
-            for a, b in zip(lam_order, lam_order[1:])
-        ),
     }
     return summary, {"run_seconds": run_seconds}
 

@@ -77,6 +77,7 @@ from __future__ import annotations
 import bisect
 import csv
 import json
+import operator
 import time
 import weakref
 from dataclasses import dataclass, field, fields
@@ -98,10 +99,15 @@ _STEP_BLOCK = 4096
 
 
 def _check_seed(seed) -> int:
-    """``seed`` as a Philox key, or a ValueError naming it."""
-    if not 0 <= int(seed) < 2**128:
+    """``seed``, an integer of any kind, as a Philox key, or a ValueError
+    naming it."""
+    try:
+        key = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed {seed!r} must be an integer") from None
+    if not 0 <= key < 2**128:
         raise ValueError(f"seed {seed} must lie in [0, 2**128)")
-    return int(seed)
+    return key
 
 
 def _check_lam(lam) -> None:
@@ -594,6 +600,7 @@ def run(
     iterate both start at ``x0``, the zero vector by default.
     """
     _check_lam(lam)
+    seed = _check_seed(seed)
     if n_iters < 0:
         raise ValueError("n_iters must be nonnegative")
     if diag_every <= 0:
@@ -642,7 +649,8 @@ class EnsembleResult:
 
 
 def derive_seeds(base_seed: int, m_replications: int) -> list[int]:
-    return [int(base_seed) ^ m for m in range(m_replications)]
+    base_seed = _check_seed(base_seed)
+    return [base_seed ^ m for m in range(m_replications)]
 
 
 def run_ensemble(
@@ -684,7 +692,7 @@ def run_ensemble(
 
     # Checked here, not in each worker, so that a bad input starts no pool.
     x0 = _initial_point(problem, x0)
-    seeds = [_check_seed(seed) for seed in derive_seeds(base_seed, m_replications)]
+    seeds = derive_seeds(base_seed, m_replications)
     if m_replications < 2 * workers:
         workers = 1
     chunks = [

@@ -1,10 +1,13 @@
 """Finite-sum objectives f(x) = (1/N) * sum_k f_k(x) with per-component gradients.
 
-A problem family is a subclass of :class:`FiniteSumProblem` that declares
-its closed forms itself: its ``type_name``, its growth constants L_p
-(``_growth_constant``, which ``growth_constant`` calls for p >= 1), its
-restricted secant constant mu (``secant_constant``) and its minimizer
-(``closed_form_minimizer``).  Two families are provided:
+A problem family is a subclass of :class:`FiniteSumProblem` that writes
+each formula once, in ``gradient_table``, ``component_gradients``,
+``values`` and ``full_gradient`` (``component_gradient`` and ``value`` are
+the base class's one-row views), and declares its closed forms: its
+``type_name``, its growth constants L_p (``_growth_constant``, which
+``growth_constant`` calls for p >= 1), its restricted secant constant mu
+(``secant_constant``) and its minimizer (``closed_form_minimizer``).  Two
+families are provided:
 
 * :class:`QuadraticProblem` -- f_k(x) = ||x - a_k||^2 / 2 for anchor points
   a_k.  Everything about it is closed form (identity Hessian, minimizer at
@@ -41,19 +44,22 @@ class MinimizerError(ProblemError):
 class FiniteSumProblem:
     """Base class for finite-sum objectives.
 
-    A family sets ``n_components`` (N) and ``dim`` (d) and implements the
+    A family sets ``n_components`` (N) and ``dim`` (d) and implements four
     hooks, vectorized where batched because the optimizer and the
     Monte-Carlo ensembles run through them in hot loops:
 
-    * ``component_gradient(k, x)``, one component at one point;
-    * ``value(x)`` and ``full_gradient(x)``, the objective at one point;
     * ``gradient_table(x)``, all component gradients at one point, (N, d),
       as a new array, which callers may overwrite;
     * ``component_gradients(ks, xs)``, the gradient of component ks[i] at
       row xs[i], (B,) and (B, d) -> (B, d), with ``ks`` an intp array (the
       engine stores its sampled indices in a narrower type and widens them
       before a step);
-    * ``values(xs)``, the objective at each row of xs, (B, d) -> (B,).
+    * ``values(xs)``, the objective at each row of xs, (B, d) -> (B,);
+    * ``full_gradient(x)``, the gradient of the objective at one point.
+
+    ``component_gradient(k, x)`` and ``value(x)``, one component's gradient
+    and the objective at one point, are the base class's one-row views of
+    ``component_gradients`` and ``values``, so they share their bits.
 
     Optional structure: ``hessian(x)``, for the Newton solve and the ``rho``
     of :func:`check_assumptions`; ``closed_form_minimizer()``, x* when it
@@ -72,7 +78,14 @@ class FiniteSumProblem:
     metadata: dict = {}
 
     def component_gradient(self, k: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """The gradient of component k at x: row 0 of ``component_gradients``."""
+        x = self._check_dim(x)
+        return np.asarray(self.component_gradients(np.array([k]), x[None]))[0]
+
+    def value(self, x: np.ndarray) -> float:
+        """The objective at x: entry 0 of ``values``."""
+        x = self._check_dim(x)
+        return float(self.values(x[None])[0])
 
     # -- optional structure -------------------------------------------------
 
@@ -123,14 +136,6 @@ class QuadraticProblem(FiniteSumProblem):
         self._anchor_mean = anchors.mean(axis=0)
         self.metadata = dict(metadata or {})
 
-    def component_gradient(self, k, x):
-        x = self._check_dim(x)
-        return x - self.anchors[k]
-
-    def value(self, x):
-        x = self._check_dim(x)
-        return 0.5 * float(((x - self.anchors) ** 2).sum(axis=1).mean())
-
     def full_gradient(self, x):
         x = self._check_dim(x)
         return x - self._anchor_mean
@@ -144,7 +149,8 @@ class QuadraticProblem(FiniteSumProblem):
 
     def values(self, xs):
         diffs = xs[:, None, :] - self.anchors[None, :, :]
-        return 0.5 * (diffs**2).sum(axis=2).mean(axis=1)
+        np.square(diffs, out=diffs)
+        return 0.5 * diffs.sum(axis=2).mean(axis=1)
 
     def hessian(self, x):
         return np.eye(self.dim)
@@ -188,7 +194,7 @@ def _logistic(t):
 
     exp(709) and 1 + exp(709) are finite, so no t warns; the link is exactly 1
     from t = 709 up and exactly 0 where exp(t) underflows.  A float gives the
-    bits of a one-element array, so the scalar and batched hooks agree bitwise.
+    bits of a one-element array.
     """
     e = np.exp(np.minimum(t, 709.0))
     return e / (1.0 + e)
@@ -224,17 +230,6 @@ class LogisticProblem(FiniteSumProblem):
         self.labels = labels
         self.n_components, self.dim = features.shape
         self.metadata = dict(metadata or {})
-
-    def component_gradient(self, k, x):
-        # <w_k, x> reduced as in ``component_gradients``: both agree bitwise.
-        x = self._check_dim(x)
-        t = float(np.einsum("d,d->", self.features[k], x))
-        return self.features[k] * (_logistic(t) - self.labels[k])
-
-    def value(self, x):
-        x = self._check_dim(x)
-        t = self.features @ x
-        return float(np.mean(np.logaddexp(0.0, t) - self.labels * t))
 
     def full_gradient(self, x):
         x = self._check_dim(x)

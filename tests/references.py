@@ -2,12 +2,13 @@
 
 * The SGD and SAGA updates written step by step, independently of the
   engine, as the references of its bitwise reduction checks.  Each gradient
-  comes from the scalar hook ``component_gradient``, not from the batched
-  ``component_gradients`` the engine steps through.
+  comes from the closed form ``component_gradient`` below, not from the
+  problem's hooks the engine steps through.
 * The bootstrap standard error drawn in one piece, the reference of the
   sliced one.
-* ``component_value``, one component's objective in closed form, the
-  reference of the vectorized ``value`` and of finite-difference gradients.
+* ``component_gradient`` and ``component_value``, one component's gradient
+  and objective in closed form, the references of the problems' hooks and
+  of finite-difference gradients.
 * ``conditional_step_expectation``, the one-step conditional expectations
   of the iteration by enumerating every draw.
 * ``quadrature_covariance`` and ``required_horizon``, the covariance
@@ -29,8 +30,8 @@ def sgd_reference(problem, schedule, n_iters, indices, x0):
     """Plain stochastic gradient descent."""
     x = x0.copy()
     for i in range(n_iters):
-        x = x - schedule.gamma(i + 1) * problem.component_gradient(
-            int(indices[i]), x
+        x = x - schedule.gamma(i + 1) * component_gradient(
+            problem, int(indices[i]), x
         )
     return x
 
@@ -45,7 +46,7 @@ def saga_reference(problem, schedule, n_iters, indices, x0):
     updates = 0
     for i in range(n_iters):
         k = int(indices[i])
-        grad = problem.component_gradient(k, x)
+        grad = component_gradient(problem, k, x)
         x = x - schedule.gamma(i + 1) * ((grad - rows[k]) + mean)
         mean = mean + (grad - rows[k]) / n
         rows[k] = grad
@@ -61,6 +62,17 @@ def bootstrap_stderr_reference(h, rng, resamples=1000):
     resamples, all drawn from ``rng`` in one call."""
     m = len(h)
     return h[rng.integers(0, m, (resamples, m))].var(axis=1, ddof=1).std(ddof=1)
+
+
+def component_gradient(problem, k, x):
+    """grad f_k(x): x - a_k on a quadratic problem, and w_k (p - y_k) on a
+    logistic one, with p = e / (1 + e), e = exp(min(<w_k, x>, 709)) and
+    <w_k, x> reduced by ``einsum``, as the batched hook reduces each row."""
+    if isinstance(problem, QuadraticProblem):
+        return x - problem.anchors[k]
+    w = problem.features[k]
+    e = np.exp(min(float(np.einsum("d,d->", w, x)), 709.0))
+    return w * (e / (1.0 + e) - problem.labels[k])
 
 
 def component_value(problem, k, x):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -73,6 +75,24 @@ class TestIndexSampler:
             IndexSampler(seed, 5)
         with pytest.raises(ValueError, match=rf"seed {seed} "):
             gaussian_initial_point(3, seed)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "4"])
+    def test_rejects_non_integral_seed_by_name(self, seed):
+        # int(1.5) would run the stream of seed 1 under the name 1.5.
+        named = rf"^seed {re.escape(repr(seed))} must be an integer$"
+        problem = random_quadratic(5, 2, seed=9)
+        for call in (lambda: IndexSampler(seed, 5),
+                     lambda: gaussian_initial_point(3, seed),
+                     lambda: run(problem, 0.5, StepSchedule(1.0, 1.0), 10, seed)):
+            with pytest.raises(ValueError, match=named):
+                call()
+
+    def test_numpy_integer_seeds_pass(self):
+        assert np.array_equal(IndexSampler(np.uint64(7), 50).take(100),
+                              IndexSampler(7, 50).take(100))
+        trace = run(random_quadratic(5, 2, seed=9), 0.5, StepSchedule(1.0, 1.0), 10,
+                    np.int32(7))
+        assert type(trace.seed) is int and trace.seed == 7
 
     def test_distinct_seeds_distinct_streams(self):
         a = IndexSampler(1, 50).take(1000)
@@ -225,6 +245,18 @@ class TestDiagnostics:
         assert snap.t_n == 4.0 + 3 * 2 * 1.0 * 4.0  # 28
         assert snap.grad_eval_norm == 2.0
         assert snap.value_gap == pytest.approx(2.0)  # f(2) - f(0) = 5/2 - 1/2
+
+    def test_t_n_takes_the_previous_step(self):
+        # At n > 1 the compound quantity weighs A_n with gamma(n - 1), the
+        # step that made X_n, not gamma(n).
+        problem = random_quadratic(20, 3, seed=2)
+        schedule = StepSchedule(1.0, 1.0)
+        trace = run(problem, 0.5, schedule, 10, seed=0, diag_every=5,
+                    x_ref=solve_minimizer(problem))
+        snap = trace.snapshots[1]
+        assert snap.n == 5 and snap.a_n > 0.0
+        g = schedule.gamma(snap.n - 1)
+        assert snap.t_n == snap.v_n + 3.0 * problem.n_components * g * g * snap.a_n
 
     def test_equilibrium_fixed_point(self, tiny_quadratic):
         x_star = solve_minimizer(tiny_quadratic)

@@ -167,6 +167,17 @@ def test_bad_seed_named_before_pool_starts(monkeypatch):
                      4, -1, workers=2)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_integral_base_seed_named_before_pool_starts(monkeypatch, workers):
+    # Truncated, base seed 2.7 would run the seeds [2, 3, 0].
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match=r"^seed 2\.7 must be an integer$"):
+        run_ensemble(random_quadratic(5, 2, 1), 0.5, StepSchedule(1.0, 1.0), 10,
+                     4, 2.7, workers=workers)
+    with pytest.raises(ValueError, match=r"^seed 2\.7 must be an integer$"):
+        derive_seeds(2.7, 3)
+
+
 @pytest.mark.parametrize("n_comp, m", [(200, 7), (300, 300)])
 def test_narrow_indices_match_scalar_runs_bitwise(n_comp, m):
     # Indices are uint8 at N = 200 and uint16 at N = 300, and k*M exceeds

@@ -16,6 +16,7 @@ from lambda_saga import (
     solve_minimizer,
 )
 from lambda_saga import montecarlo
+from lambda_saga.engine import EnsembleResult
 from lambda_saga.montecarlo import rate_estimate, summarize_scaled_errors
 
 
@@ -120,6 +121,18 @@ class TestFitSlope:
         assert slope == pytest.approx(-1.25, abs=1e-12)
         assert ci == pytest.approx(0.0, abs=1e-10)
 
+    def test_half_width_is_1_96_standard_errors(self):
+        ns = [100, 300, 1000, 3000, 10_000]
+        values = [2.0, 0.9, 0.25, 0.11, 0.02]
+        x, y = np.log(ns), np.log(values)
+        sxx = ((x - x.mean()) ** 2).sum()
+        slope = ((x - x.mean()) * (y - y.mean())).sum() / sxx
+        residuals = y - y.mean() - slope * (x - x.mean())
+        se = np.sqrt((residuals**2).sum() / (len(ns) - 2) / sxx)
+        got_slope, ci = fit_loglog_slope(ns, values)
+        assert got_slope == pytest.approx(slope, rel=1e-12)
+        assert ci == pytest.approx(1.96 * se, rel=1e-12)
+
 
 class TestRateEnsemble:
     def test_needs_two_checkpoints(self, quad):
@@ -177,3 +190,23 @@ class TestRateEnsemble:
         # moments reported for all checkpoints, slope fitted past burn-in only
         assert len(estimate.moments) == 4
         assert estimate.slope is not None
+        kept = [i for i, n in enumerate(estimate.checkpoints) if n >= 100]
+        assert (estimate.slope, estimate.slope_ci) == fit_loglog_slope(
+            [estimate.checkpoints[i] for i in kept],
+            [estimate.moments[i] for i in kept])
+
+    def test_scaled_sup_ratio_scales_by_n_to_the_p_alpha(self):
+        # Squared errors that decay more slowly than n^(-p alpha), so that the
+        # ratio exceeds 1 and depends on the power of n.
+        checkpoints = (100, 400, 1600, 6400)
+        rng = np.random.default_rng(5)
+        sq_error = {n: rng.exponential(n**-0.5, 64) for n in checkpoints}
+        result = EnsembleResult([0], np.zeros((64, 1)), np.zeros(64),
+                                {n: np.zeros((64, 1)) for n in checkpoints},
+                                sq_error, {n: v / 2 for n, v in sq_error.items()})
+        schedule = StepSchedule(1.0, 0.75)
+        estimate = rate_estimate(result, 0.5, schedule, 2)
+        scaled = [m * float(n) ** (2 * 0.75)
+                  for n, m in zip(estimate.checkpoints, estimate.moments)]
+        assert estimate.scaled_sup_ratio == max(scaled) / scaled[0]
+        assert estimate.scaled_sup_ratio > 1.0

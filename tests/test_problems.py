@@ -1,8 +1,10 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
-from references import component_value
+from hypothesis import given, settings, strategies as st
+from references import component_gradient, component_value
 from scipy.special import expit
 
 from lambda_saga import (
@@ -48,7 +50,7 @@ class TestFiniteSumStructure:
         for _ in range(5):
             x = rng.standard_normal(problem.dim)
             mean = np.mean(
-                [problem.component_gradient(k, x) for k in range(problem.n_components)],
+                [component_gradient(problem, k, x) for k in range(problem.n_components)],
                 axis=0,
             )
             assert np.allclose(problem.full_gradient(x), mean, rtol=1e-12, atol=1e-14)
@@ -85,7 +87,7 @@ class TestFiniteSumStructure:
             fd = finite_difference_gradient(
                 lambda z: component_value(problem, k, z), x
             )
-            grad = problem.component_gradient(k, x)
+            grad = component_gradient(problem, k, x)
             assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
     def test_batched_interfaces_match_scalar(self, logit):
@@ -95,11 +97,47 @@ class TestFiniteSumStructure:
         batched = logit.component_gradients(ks, xs)
         for i in range(8):
             assert np.allclose(
-                batched[i], logit.component_gradient(int(ks[i]), xs[i]), rtol=1e-12
+                batched[i], component_gradient(logit, int(ks[i]), xs[i]), rtol=1e-12
             )
         values = logit.values(xs)
         for i in range(8):
-            assert values[i] == pytest.approx(logit.value(xs[i]), rel=1e-12)
+            mean = np.mean([component_value(logit, k, xs[i])
+                            for k in range(logit.n_components)])
+            assert values[i] == pytest.approx(mean, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(make=st.sampled_from([random_quadratic, random_logistic]),
+           n_comp=st.integers(1, 40), dim=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 8))
+    def test_hooks_match_closed_forms(self, make, n_comp, dim, seed, batch):
+        # Gradient rows carry the closed form's bits; the one-point hooks
+        # are row 0 of the batched hooks at a one-row batch.
+        problem = make(n_comp, dim, seed)
+        rng = np.random.default_rng([seed, 1])  # not the generator's stream
+        ks = rng.integers(0, n_comp, size=batch)
+        xs = rng.standard_normal((batch, dim))
+        rows = problem.component_gradients(ks, xs)
+        values = problem.values(xs)
+        for i, (k, x) in enumerate(zip(ks.tolist(), xs)):
+            assert np.asarray(rows[i]).tobytes() == (
+                component_gradient(problem, k, x).tobytes())
+            mean = np.mean([component_value(problem, j, x) for j in range(n_comp)])
+            assert values[i] == pytest.approx(mean, rel=1e-12)
+            one = problem.component_gradient(k, x)
+            assert type(one) is np.ndarray
+            assert one.tobytes() == np.asarray(
+                problem.component_gradients(np.array([k]), x[None])[0]).tobytes()
+            assert problem.value(x) == problem.values(x[None])[0]
+
+    @pytest.mark.parametrize("shape", [(), (2,), (3, 1), (1, 3)])
+    def test_one_point_hooks_name_the_dimension(self, quad, logit, shape):
+        for problem in (quad, logit):
+            x = np.zeros(shape)
+            named = re.escape(f"dimension {problem.dim}, got {shape}")
+            with pytest.raises(ValueError, match=named):
+                problem.component_gradient(0, x)
+            with pytest.raises(ValueError, match=named):
+                problem.value(x)
 
     def test_gradient_rows_carry_their_factors(self, logit):
         rng = np.random.default_rng(13)
