@@ -146,28 +146,34 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _counters(value) -> list[int]:
+    return [int(c) for c in (value.split(",") if isinstance(value, str) else value)]
+
+
 # What a config value must be, by the argparse type of its key's flag (a
-# string when the flag sets none) or the type of a flagless key's default.
-# Checkpoints, a string from the flag, may come as a list from a file.
+# string when the flag sets none) or the type of a flagless key's default,
+# and the converter that gives it that kind.  Checkpoints, a string from the
+# flag, may come as a list from a file; either becomes a list of ints.
 _KINDS = {
-    int: ("an integer", _is_integer),
-    float: ("a number", lambda v: _is_integer(v) or isinstance(v, float)),
-    str: ("a string", lambda v: isinstance(v, str)),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    _json_arg: ("a JSON object", lambda v: isinstance(v, dict)),
+    int: ("an integer", _is_integer, int),
+    float: ("a number", lambda v: _is_integer(v) or isinstance(v, float), float),
+    str: ("a string", lambda v: isinstance(v, str), str),
+    bool: ("true or false", lambda v: isinstance(v, bool), bool),
+    _json_arg: ("a JSON object", lambda v: isinstance(v, dict), dict),
     "checkpoints": ("comma-separated counters or a list of integers", lambda v: (
         all(c.strip().isdigit() for c in v.split(",")) if isinstance(v, str)
-        else isinstance(v, list) and all(map(_is_integer, v)))),
+        else isinstance(v, list) and all(map(_is_integer, v))), _counters),
 }
 
 
 def _check_value(key, value):
-    """A CliError naming the key, by its flag if it has one, unless ``value``
-    is None with a None default, or of the key's kind, one of its choices
-    and no less than its minimum."""
+    """``value`` converted to the kind of ``key``, a list item by item.  A
+    value not of that kind, not one of its choices or below its minimum is a
+    CliError naming the key, by its flag if it has one.  None with a None
+    default stays None."""
     entry = _CONFIG_KEYS[key]
     if value is None and entry.default is None or key == "label_rule":
-        return  # _label_rule checks a label rule
+        return value  # _label_rule checks a label rule
     name, options = entry.flag or key, entry.options
     if "choices" in options and value not in options["choices"]:
         raise CliError(f"{name} must be one of {options['choices']}, got {value!r}")
@@ -175,18 +181,22 @@ def _check_value(key, value):
     if listed and not isinstance(value, list):
         raise CliError(f"{name} must be a list, got {value!r}")
     kind = options.get("type", str) if entry.flag else type(entry.default)
-    what, fits = _KINDS[key if key in _KINDS else kind]
+    what, fits, convert = _KINDS[key if key in _KINDS else kind]
+    items = []
     for item in value if listed else [value]:
         if not fits(item):
             raise CliError(f"{name} must be {what}, got {item!r}")
         if entry.minimum is not None and item < entry.minimum:
             raise CliError(f"{name} must be at least {entry.minimum}, got {item!r}")
+        items.append(convert(item))
+    return items if listed else items[0]
 
 
 def _load_config(args) -> dict:
     """The keys ``args.subcommand`` reads: defaults, then the config file
     (which may hold any known key, so one file serves several subcommands),
-    then flags, each value checked."""
+    then flags, each value checked and converted to its key's kind, so that
+    a value means the same wherever it came from."""
     config = {key: entry.default for key, entry in _CONFIG_KEYS.items()}
     if args.config:
         path = Path(args.config)
@@ -207,9 +217,8 @@ def _load_config(args) -> dict:
     for key, value in vars(args).items():
         if key in _CONFIG_KEYS and value is not None:
             config[key] = value
-    config = {key: config[key] for key in _COMMAND_KEYS[args.subcommand]}
-    for key, value in config.items():
-        _check_value(key, value)
+    config = {key: _check_value(key, config[key])
+              for key in _COMMAND_KEYS[args.subcommand]}
     lambdas = config.get("lambdas", [])
     for lam in lambdas:
         if not 0 <= lam <= 1:
@@ -239,7 +248,7 @@ def make_problem(config: dict):
             path,
             format=config["format"],
             label_rule=_label_rule(config["label_rule"]),
-            label_column=int(config["label_column"]),
+            label_column=config["label_column"],
             scale=config["scale"],
         )
     # The default spec supplies the type, n, d and seed a spec leaves out.
@@ -254,7 +263,7 @@ def make_problem(config: dict):
         raise CliError(f"unknown key(s) in the {kind} problem spec: {unknown} "
                        f"(known: {sorted(known)})")
     for key, kind in {"n": int, "d": int, "seed": int, **options}.items():
-        what, fits = _KINDS[kind]
+        what, fits, _ = _KINDS[kind]
         if key in spec and not fits(spec[key]):
             raise CliError(f"--problem key {key!r} must be {what}, "
                            f"got {spec[key]!r}")
@@ -289,11 +298,8 @@ def _write_json(path: Path, payload: dict):
 def _checkpoints(config) -> list[int]:
     """The rates checkpoints: given, or 7 log-spaced from 1e3 to 1e5; times
     the epoch size when one is set."""
-    raw = config["checkpoints"]
-    if isinstance(raw, str):
-        raw = raw.split(",")
-    epoch = int(config["epoch_size"] or 1)
-    return sorted({int(v) * epoch for v in raw or np.round(np.logspace(3, 5, 7))})
+    given = config["checkpoints"] or _counters(np.round(np.logspace(3, 5, 7)))
+    return sorted({n * (config["epoch_size"] or 1) for n in given})
 
 
 # -- subcommands --------------------------------------------------------------
@@ -302,14 +308,12 @@ def _checkpoints(config) -> list[int]:
 def _initial_point(config, problem):
     if config["init"] == "zeros":
         return None  # engine default
-    return gaussian_initial_point(
-        problem.dim, int(config["seed"]), float(config["init_scale"])
-    )
+    return gaussian_initial_point(problem.dim, config["seed"], config["init_scale"])
 
 
 def cmd_run(config, out: Path):
     problem = make_problem(config)
-    schedule = StepSchedule(float(config["c"]), float(config["alpha"]))
+    schedule = StepSchedule(config["c"], config["alpha"])
 
     x_ref = None
     try:
@@ -321,16 +325,8 @@ def cmd_run(config, out: Path):
     final_norms = {}
     run_seconds = {}
     for lam in config["lambdas"]:
-        trace = run(
-            problem,
-            float(lam),
-            schedule,
-            int(config["iters"]),
-            int(config["seed"]),
-            diag_every=int(config["diag_every"]),
-            x_ref=x_ref,
-            x0=x0,
-        )
+        trace = run(problem, lam, schedule, config["iters"], config["seed"],
+                    diag_every=config["diag_every"], x_ref=x_ref, x0=x0)
         write_trace_csv(trace, out / f"trace_lambda_{lam}.csv")
         write_trace_metadata(trace, out / f"trace_lambda_{lam}.meta.json")
         run_seconds[str(lam)] = trace.wall_time_s
@@ -349,7 +345,7 @@ def cmd_run(config, out: Path):
 
 
 def cmd_clt(config, out: Path):
-    if float(config["c"]) != 1.0 or float(config["alpha"]) != 1.0:
+    if config["c"] != 1.0 or config["alpha"] != 1.0:
         raise CliError(
             "central-limit ensembles require the step 1/n: set c=1 and alpha=1 "
             "(the normality result covers no other schedule)"
@@ -360,20 +356,12 @@ def cmd_clt(config, out: Path):
     summaries = {}
     sigma2 = {}
     for lam in config["lambdas"]:
-        m = int(config["reps"])
+        m = config["reps"]
         scaled = np.empty((m, problem.dim))
-        summary = clt_ensemble(
-            problem,
-            float(lam),
-            int(config["iters"]),
-            m,
-            int(config["seed"]),
-            x_ref,
-            workers=int(config["workers"]),
-            scaled_errors_out=scaled,
-        )
+        summary = clt_ensemble(problem, lam, config["iters"], m, config["seed"], x_ref,
+                               workers=config["workers"], scaled_errors_out=scaled)
         summaries[str(lam)] = summary.to_dict()
-        sigma2[float(lam)] = summary.sigma2_scalar
+        sigma2[lam] = summary.sigma2_scalar
         if config["dump_replications"]:
             np.savetxt(
                 out / f"scaled_errors_lambda_{lam}.csv",
@@ -407,21 +395,25 @@ def cmd_clt(config, out: Path):
 
 def cmd_rates(config, out: Path):
     problem = make_problem(config)
-    schedule = StepSchedule(float(config["c"]), float(config["alpha"]))
+    schedule = StepSchedule(config["c"], config["alpha"])
     x_ref = solve_minimizer(problem)
 
     mu = problem.secant_constant if config["mu"] is None else config["mu"]
     if mu is None:
         raise CliError("rates need --mu for problems without a known secant constant")
-    p_list = [int(p) for p in config["p_list"]]
-    checkpoints = check_rate_inputs(_checkpoints(config), p_list, float(mu))
+    p_list = config["p_list"]
+    checkpoints = check_rate_inputs(_checkpoints(config), p_list, mu)
     # No restricted secant constant exceeds rho, the smallest eigenvalue of
     # H(x*): along its eigenvector the secant ratio tends to rho.
     rho = float(np.linalg.eigvalsh(problem.hessian(x_ref)).min())
     mu_warnings = ()
-    if float(mu) > rho:
-        mu_warnings = (f"mu={float(mu):g} exceeds rho={rho:.6g}, the smallest "
+    if mu > rho:
+        mu_warnings = (f"mu={mu:g} exceeds rho={rho:.6g}, the smallest "
                        "Hessian eigenvalue at x*, which bounds every secant constant",)
+    # The linearised recursion e <- (1 - c rho / n^alpha) e + noise, not a
+    # result of the paper, predicts that E ||X_n - x*||^(2p) decays as
+    # n^(-p alpha) for alpha < 1 and as n^(-p min(1, 2 c rho)) for alpha = 1.
+    rate = schedule.alpha if schedule.alpha < 1 else min(1.0, 2 * schedule.c * rho)
 
     estimates = {}
     rows = ["lambda,p,n,moment,value_gap_moment"]
@@ -429,14 +421,17 @@ def cmd_rates(config, out: Path):
     for lam in config["lambdas"]:
         # One ensemble per lambda serves every moment order.
         result = run_ensemble(
-            problem, float(lam), schedule, checkpoints[-1] - 1,
-            int(config["reps"]), int(config["seed"]), x_ref=x_ref,
-            checkpoints=checkpoints, workers=int(config["workers"]),
+            problem, lam, schedule, checkpoints[-1] - 1, config["reps"],
+            config["seed"], x_ref=x_ref, checkpoints=checkpoints,
+            workers=config["workers"],
         )
         for p in p_list:
-            est = rate_estimate(result, float(lam), schedule, p, float(mu))
+            est = rate_estimate(result, lam, schedule, p, mu)
             est = replace(est, warnings=est.warnings + mu_warnings)
             record = estimates[f"lambda={lam},p={p}"] = est.to_dict()
+            predicted = record["predicted_slope"] = -p * rate
+            record["slope_minus_predicted"] = (
+                None if est.slope is None else est.slope - predicted)
             for n, m, g in zip(record["checkpoints"], record["moments"],
                                record["value_gap_moments"]):
                 rows.append(f"{lam},{p},{n},{m!r},{g!r}")
@@ -444,6 +439,7 @@ def cmd_rates(config, out: Path):
             slope = "undefined" if est.slope is None else f"{est.slope:.3f}"
             print(
                 f"[rates] lambda={lam} p={p}: slope={slope} "
+                f"linearised-recursion prediction={predicted:.3f} "
                 f"sup-ratio={est.scaled_sup_ratio} warnings={list(est.warnings)}"
             )
 
@@ -461,13 +457,9 @@ def cmd_rates(config, out: Path):
 
 def cmd_check(config, out: Path):
     problem = make_problem(config)
-    p_list = tuple(int(p) for p in config["p_list"])
-    report = check_assumptions(
-        problem,
-        p_list=p_list,
-        sample_count=int(config["sample_count"]),
-        seed=int(config["seed"]),
-    )
+    p_list = tuple(config["p_list"])
+    report = check_assumptions(problem, p_list=p_list,
+                               sample_count=config["sample_count"], seed=config["seed"])
     print(f"[check] rho={report.rho} L={report.L} mu_estimate={report.mu_estimate:.6g}")
     for p in p_list:
         print(f"[check] L_{p}={report.L_p[p]}")
@@ -483,7 +475,7 @@ def cmd_check(config, out: Path):
 
 
 def cmd_lemmas(config, out: Path):
-    max_p = int(config["max_p"])
+    max_p = config["max_p"]
     if max_p < 2 or max_p % 2 != 0:
         raise CliError(f"max p must be a positive even integer, got {max_p}")
 
@@ -491,8 +483,8 @@ def cmd_lemmas(config, out: Path):
     for p, consts in table.items():
         print(f"[lemmas] p={p}: C_p={consts.c_p} D_p={consts.d_p}")
 
-    pairs = int(config["pairs"])
-    rng = np.random.default_rng(int(config["seed"]))
+    pairs = config["pairs"]
+    rng = np.random.default_rng(config["seed"])
     random_checks = {}
     for p in (2, 4):
         if p > max_p:

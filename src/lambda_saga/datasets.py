@@ -69,8 +69,12 @@ def load_dataset(
     CSV cells are comma-separated; svmlight rows are as wide as the largest index.
     ``scale``, when given, multiplies every feature (e.g. 1/255 for pixel
     data) and is recorded in the problem metadata; scaling is never implicit.
-    Every error names the file line at fault, blank lines counted.
+    It must be finite and nonzero, and a feature it carries past the largest
+    float is an error.  Every error names the file line at fault, blank
+    lines counted.
     """
+    if scale is not None and not (np.isfinite(scale) and scale != 0):
+        raise DatasetError(f"scale must be finite and nonzero, got {scale}")
     path = Path(path)
     if format == "dense-csv":
         features, labels, lines = _read_dense_csv(path, label_column)
@@ -91,7 +95,12 @@ def load_dataset(
         )
 
     if scale is not None:
-        features = features * scale
+        with np.errstate(over="ignore"):  # reported below
+            features = features * scale
+        finite = np.isfinite(features).all(axis=1)
+        if not finite.all():
+            raise DatasetError(f"{path}: row {lines[finite.argmin()]}: a feature "
+                               f"overflows when scaled by {scale}")
 
     metadata = {
         "source": str(path),

@@ -25,6 +25,9 @@ snapshots and checkpoints between kernel calls, so ``_steps`` knows nothing
 of them.  A scalar :func:`run` is the case M = 1 and :func:`run_ensemble`
 runs M, both started by ``_start`` and driven by ``_drive``, so a
 replication of an ensemble is bit for bit the scalar run with its seed.
+Both reduce V_n (``_sq_errors``) and the table-mean norm over rows of
+replications, so a scalar run's V_n and grad_eval_norm are bit for bit its
+replication's squared error and final table-mean norm too.
 
 A block's (4096, M) indices are held in the narrowest unsigned type that
 holds N - 1 (``np.min_scalar_type``: uint8 up to N = 256, uint16 up to
@@ -98,13 +101,19 @@ class RunError(RuntimeError):
 _STEP_BLOCK = 4096
 
 
+def _check_integer(value, name) -> int:
+    """``value``, an integer of any kind, as an int, or a ValueError naming
+    it as ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} must be an integer") from None
+
+
 def _check_seed(seed) -> int:
     """``seed``, an integer of any kind, as a Philox key, or a ValueError
     naming it."""
-    try:
-        key = operator.index(seed)
-    except TypeError:
-        raise ValueError(f"seed {seed!r} must be an integer") from None
+    key = _check_integer(seed, "seed")
     if not 0 <= key < 2**128:
         raise ValueError(f"seed {seed} must lie in [0, 2**128)")
     return key
@@ -531,6 +540,11 @@ def _ref_quantities(problem, x_ref):
     return hit
 
 
+def _sq_errors(x, x_ref) -> np.ndarray:
+    """V_n of every replication: the row sums of ``(x - x_ref) ** 2``."""
+    return ((x - x_ref) ** 2).sum(axis=1)
+
+
 def _mean_sq_distance(rows, rows_ref) -> float:
     """Mean over components of ||rows[k] - rows_ref[k]||^2, overwriting
     ``rows``, a new (N, d) array, with the squared differences."""
@@ -557,14 +571,13 @@ def diagnostics(
     Without ``x_ref`` only ``n`` and ``grad_eval_norm`` are recorded and the
     other fields are None.
     """
-    grad_eval_norm = float(np.linalg.norm(state.mean[0]))
+    grad_eval_norm = float(np.linalg.norm(state.mean, axis=1)[0])
     if x_ref is None:
         return DiagnosticsSnapshot(state.n, None, None, None, None,
                                    grad_eval_norm, None)
     table_ref, f_ref = _ref_quantities(problem, x_ref)
     x = state.x[0]
-    diff = x - np.asarray(x_ref, dtype=float)
-    v_n = float(diff @ diff)
+    v_n = float(_sq_errors(state.x[:1], np.asarray(x_ref, dtype=float))[0])
     a_n = _mean_sq_distance(state.table.rows()[:, 0, :], table_ref)
     tau2 = _mean_sq_distance(np.asarray(problem.gradient_table(x)), table_ref)
     t_n = None
@@ -684,6 +697,7 @@ def run_ensemble(
         raise ValueError("n_iters must be positive")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    checkpoints = tuple(_check_integer(n, "checkpoint") for n in checkpoints)
     bad = [n for n in checkpoints if not (2 <= n <= n_iters + 1)]
     if bad:
         raise ValueError(
@@ -697,7 +711,7 @@ def run_ensemble(
         workers = 1
     chunks = [
         (problem, lam, schedule, n_iters, [seeds[i] for i in chunk],
-         int(chunk[0]), x_ref, tuple(checkpoints), x0)
+         int(chunk[0]), x_ref, checkpoints, x0)
         for chunk in np.array_split(np.arange(m_replications), workers)
     ]
     if workers == 1:
@@ -735,13 +749,12 @@ def _run_chunk(problem, lam, schedule, n_iters, seeds, first_index, x_ref,
         x, n_state = state.x, state.n
         iterates[n_state] = x.copy()
         if x_ref is not None:
-            sq_error[n_state] = ((x - x_ref) ** 2).sum(axis=1)
+            sq_error[n_state] = _sq_errors(x, x_ref)
             value_gap[n_state] = problem.values(x) - f_ref
 
     _drive(state, problem, lam, schedule, n_iters, sorted(set(checkpoints)), record,
            lambda r: f"replication {first_index + r} (seed {seeds[r]})")
-    return EnsembleResult(list(seeds), state.x,
-                          np.linalg.norm(state.mean, axis=1),
+    return EnsembleResult(list(seeds), state.x, np.linalg.norm(state.mean, axis=1),
                           iterates, sq_error, value_gap)
 
 
@@ -757,7 +770,7 @@ def write_trace_csv(trace: RunTrace, path) -> None:
         return "" if x is None else repr(float(x))
 
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_TRACE_COLUMNS)
         for s in trace.snapshots:
             writer.writerow(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import EnsembleResult, run_ensemble
+from .engine import EnsembleResult, _check_integer, run_ensemble
 from .problems import FiniteSumProblem
 from .schedule import StepSchedule, validate_rate_conditions
 
@@ -202,7 +202,7 @@ def check_rate_inputs(checkpoints, orders, mu=None) -> tuple[int, ...]:
             raise ValueError(f"p must be a positive integer, got {p}")
     if mu is not None and not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    checkpoints = tuple(sorted(set(int(n) for n in checkpoints)))
+    checkpoints = tuple(sorted({_check_integer(n, "checkpoint") for n in checkpoints}))
     if len(checkpoints) < 2:
         raise ValueError("at least 2 checkpoints are needed for a slope")
     if checkpoints[0] < 2:

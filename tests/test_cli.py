@@ -500,7 +500,12 @@ class TestFailedCommands:
           "--checkpoints", "10,20"], 1, "separable data?"),
         (["run", "--dataset", "LABELS", "--format", "svmlight", "--iters", "10"],
          2, "labels.svm: no row has a feature"),
-    ], ids=["clt-seed", "run-diverges", "rates-separable", "run-svmlight-labels-only"])
+        (["rates", "--dataset", "SEPARABLE", "--scale", "nan", "--mu", "0.5"],
+         2, "scale must be finite and nonzero, got nan"),
+        (["rates", "--dataset", "SEPARABLE", "--scale", "1e308", "--mu", "0.5"],
+         2, "separable.csv: row 3: a feature overflows when scaled by 1e+308"),
+    ], ids=["clt-seed", "run-diverges", "rates-separable", "run-svmlight-labels-only",
+            "rates-scale-nan", "rates-scale-overflow"])
     def test_one_error_line_and_no_directory(self, tmp_path, capsys, argv, code, cause):
         data = tmp_path / "separable.csv"
         data.write_text("0,1.0,0.0\n7,-1.0,0.0\n3,2.0,1.0\n8,-2.0,-1.0\n")
@@ -571,6 +576,70 @@ def test_outputs_independent_of_workers(tmp_path, argv):
         written.append({p.name: p.read_bytes() for p in sorted(run_dir.iterdir())
                         if p.name != "metadata.json"})
     assert len(written[0]) >= 2 and written[0] == written[1]
+
+
+# Every numeric key a subcommand reads, as a JSON integer.
+INTEGRAL_CONFIGS = {
+    "run": {"lambdas": [0, 1], "c": 1, "alpha": 1, "iters": 300, "seed": 3,
+            "diag_every": 100, "init": "gaussian", "init_scale": 2},
+    "clt": {"lambdas": [0, 1], "c": 1, "alpha": 1, "iters": 300, "reps": 6,
+            "seed": 4, "workers": 1},
+    "rates": {"lambdas": [0, 1], "c": 1, "alpha": 1, "reps": 6, "seed": 4,
+              "workers": 1, "p_list": [1, 2], "mu": 1,
+              "checkpoints": [100, 200, 400], "epoch_size": 1},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(INTEGRAL_CONFIGS))
+def test_config_file_writes_what_flags_write(tmp_path, subcommand):
+    # A config value takes its key's kind at load, so a file's 0 and 1 name
+    # files and keys as the flags' 0.0 and 1.0 do, and both record one config.
+    values = {**INTEGRAL_CONFIGS[subcommand], "problem": json.loads(QUAD)}
+    flags = []
+    for key, value in values.items():
+        if key == "checkpoints":
+            value = ",".join(map(str, value))
+        for item in value if isinstance(value, list) else [value]:
+            text = json.dumps(item) if isinstance(item, dict) else str(item)
+            flags += [cli._CONFIG_KEYS[key].flag, text]
+    base = tmp_path / "base.json"
+    base.write_text('{"dump_replications": true}')
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({**values, "dump_replications": True}))
+    written, configs = [], []
+    for argv in (flags + ["--config", str(base)], ["--config", str(full)]):
+        out = tmp_path / str(len(written))
+        assert main([subcommand, *argv, "--out-dir", str(out)]) == 0
+        run_dir = latest_output(out, subcommand)
+        written.append({p.name: p.read_bytes() for p in sorted(run_dir.iterdir())
+                        if p.name != "metadata.json"})
+        configs.append(json.loads((run_dir / "metadata.json").read_text())["config"])
+    assert len(written[0]) >= 2 and written[0] == written[1]
+    assert configs[0] == configs[1]
+
+
+@pytest.mark.parametrize("alpha, predicted", [
+    ("1", {1: -0.4, 2: -0.8}), ("0.75", {1: -0.75}),
+])
+def test_rates_writes_the_linearised_slope_prediction(tmp_path, capsys, alpha,
+                                                       predicted):
+    # rho = 1 on random_quadratic: -p*alpha for alpha < 1, -p*min(1, 2*c*rho)
+    # for alpha = 1.
+    argv = ["rates", "--problem", '{"type": "quadratic", "n": 50, "d": 5, "seed": 31}',
+            "--c", "0.2", "--alpha", alpha, "--lambda", "0.5",
+            "--checkpoints", "100,200,400", "--reps", "4", "--seed", "1",
+            "--out-dir", str(tmp_path)]
+    for p in predicted:
+        argv += ["--p", str(p)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    estimates = read_summary(latest_output(tmp_path, "rates"))["estimates"]
+    for p, slope in predicted.items():
+        record = estimates[f"lambda=0.5,p={p}"]
+        assert record["predicted_slope"] == pytest.approx(slope, abs=1e-12)
+        assert record["slope_minus_predicted"] == record["slope"] - record["predicted_slope"]
+        assert f"p={p}: slope={record['slope']:.3f} linearised-recursion " \
+               f"prediction={slope:.3f}" in printed
 
 
 @pytest.mark.parametrize("spec, options", [

@@ -78,6 +78,18 @@ class TestDenseCsv:
         assert problem.metadata["scale"] == 1 / 255
         assert np.allclose(problem.features, [[1.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_scale_not_finite_and_nonzero_named(self, tmp_path, scale):
+        path = write(tmp_path, "scale.csv", "0,255,0\n9,0,255\n")
+        with pytest.raises(DatasetError, match="^scale must be finite and nonzero"):
+            load_dataset(path, scale=scale)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scaled_overflow_names_first_row(self, tmp_path):
+        path = write(tmp_path, "big.csv", "0,1.0,2.0\n\n5,1e300,1.0\n9,-1e300,1.0\n")
+        with pytest.raises(DatasetError, match="row 3: a feature overflows when scaled"):
+            load_dataset(path, scale=1e10)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = write(tmp_path, "blank.csv", "0,1,2\n\n7,3,4\n")
         problem = load_dataset(path)

@@ -490,6 +490,15 @@ class TestTraceSerialization:
         assert int(row[0]) == trace.snapshots[-1].n
         assert float(row[1]) == trace.snapshots[-1].v_n  # exact round trip
 
+    def test_csv_lines_end_with_newline(self, tmp_path):
+        problem = random_quadratic(10, 2, seed=11)
+        trace = run(problem, 0.5, StepSchedule(1.0, 1.0), 300, seed=5,
+                    diag_every=100, x_ref=solve_minimizer(problem))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        text = path.read_bytes()
+        assert b"\r" not in text and text.count(b"\n") == 1 + len(trace.snapshots)
+
     def test_metadata_fields(self, tmp_path):
         import json
 

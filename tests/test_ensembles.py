@@ -91,6 +91,16 @@ class TestReplicationSemantics:
             run_ensemble(problem, 1.0, StepSchedule(1.0, 1.0), 100, 2,
                          base_seed=0, checkpoints=(102,))
 
+    def test_non_integral_checkpoint_named(self):
+        problem = random_quadratic(10, 2, seed=4)
+        schedule = StepSchedule(1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^checkpoint 2\.5 must be an integer$"):
+            run_ensemble(problem, 1.0, schedule, 100, 2, 0, checkpoints=(2.5, 50))
+        # Integers of any kind pass, numpy's included.
+        result = run_ensemble(problem, 1.0, schedule, 100, 2, 0,
+                              checkpoints=(np.int64(2), np.uint8(50)))
+        assert set(result.checkpoint_iterates) == {2, 50}
+
     def test_worker_split_is_transparent(self):
         problem = random_quadratic(12, 3, seed=6)
         schedule = StepSchedule(1.0, 0.9)
@@ -233,6 +243,35 @@ def test_ensemble_matches_scalar_runs_and_workers_bitwise(
                     diag_every=10**9)
         assert np.array_equal(serial.checkpoint_iterates[checkpoint][r],
                               early.final_iterate)
+
+
+@pytest.mark.parametrize("make, shape", [
+    (random_quadratic, (50, 5, 31)), (random_logistic, (100, 5, 2024)),
+])
+def test_scalar_run_diagnostics_match_its_replication_bitwise(make, shape):
+    problem = make(*shape)
+    x_ref = solve_minimizer(problem)
+    schedule = StepSchedule(1.0, 1.0)
+    n_iters, m, base = 3000, 8, 17
+    # Ensemble checkpoints every 125 steps; run snapshots every 250 steps.
+    result = run_ensemble(problem, 0.5, schedule, n_iters, m, base, x_ref=x_ref,
+                          checkpoints=tuple(range(125, n_iters + 2, 125)) + (n_iters + 1,))
+    compared = 0
+    for r in range(m):
+        trace = run(problem, 0.5, schedule, n_iters, base ^ r, diag_every=250,
+                    x_ref=x_ref)
+        for snap in trace.snapshots:
+            if snap.n not in result.checkpoint_sq_error:
+                continue
+            compared += 1
+            assert snap.v_n == result.checkpoint_sq_error[snap.n][r], (r, snap.n)
+            # A one-row logistic ``values`` goes through a matrix-vector
+            # product and a batch through a matrix product, whose sums may
+            # differ in the last bit, so only quadratic value gaps are equal.
+            if make is random_quadratic:
+                assert snap.value_gap == result.checkpoint_value_gap[snap.n][r]
+        assert trace.snapshots[-1].grad_eval_norm == result.final_grad_eval_norm[r]
+    assert compared == m * (n_iters // 250 + 1)  # every snapshot past n = 1
 
 
 def assert_same_bits(a, b):

@@ -140,6 +140,16 @@ class TestRateEnsemble:
             rate_ensemble(quad, 0.5, StepSchedule(1.0, 1.0), 1, (1000,), 8, 0,
                           solve_minimizer(quad))
 
+    def test_non_integral_checkpoint_named(self, quad):
+        # Truncated, checkpoint 2.5 would run checkpoint 2.
+        with pytest.raises(ValueError, match=r"^checkpoint 2\.5 must be an integer$"):
+            rate_ensemble(quad, 0.5, StepSchedule(1.0, 1.0), 1, (2.5, 50), 4, 0,
+                          solve_minimizer(quad))
+        estimate = rate_ensemble(quad, 0.5, StepSchedule(1.0, 1.0), 1,
+                                 (np.int64(2), np.uint16(50)), 4, 0,
+                                 solve_minimizer(quad))
+        assert estimate.checkpoints == (2, 50)
+
     def test_slope_near_minus_alpha(self):
         problem = random_quadratic(20, 3, seed=17)
         schedule = StepSchedule(2 ** (0.75 - 1), 0.75)

@@ -65,9 +65,26 @@ MUTANTS = [
      "tests/test_ensembles.py::test_diagnostics_hold_one_table_at_a_time"
      "[random_quadratic]"),
     ("seed-truncated", "src/lambda_saga/engine.py",
-     "key = operator.index(seed)",
+     'key = _check_integer(seed, "seed")',
      "key = int(seed)",
      "tests/test_engine.py::TestIndexSampler::test_rejects_non_integral_seed_by_name"),
+    ("config-value-unconverted", "src/lambda_saga/cli.py",
+     "items.append(convert(item))",
+     "items.append(item)",
+     "tests/test_cli.py::test_config_file_writes_what_flags_write[run]"),
+    ("diagnostics-norm-of-row-0", "src/lambda_saga/engine.py",
+     "grad_eval_norm = float(np.linalg.norm(state.mean, axis=1)[0])",
+     "grad_eval_norm = float(np.linalg.norm(state.mean[0]))",
+     "tests/test_ensembles.py::test_scalar_run_diagnostics_match_its_replication_bitwise"
+     "[random_quadratic-shape0]"),
+    ("predicted-slope-c-rho", "src/lambda_saga/cli.py",
+     "min(1.0, 2 * schedule.c * rho)",
+     "min(1.0, schedule.c * rho)",
+     "tests/test_cli.py::test_rates_writes_the_linearised_slope_prediction[1-predicted0]"),
+    ("scale-checked-before-scaling-only", "src/lambda_saga/datasets.py",
+     "        if not finite.all():\n",
+     "        if False:\n",
+     "tests/test_datasets.py::TestDenseCsv::test_scaled_overflow_names_first_row"),
 ]
 
 
