@@ -305,7 +305,7 @@ def _checkpoints(config) -> list[int]:
 # -- subcommands --------------------------------------------------------------
 
 
-def _initial_point(config, problem):
+def _initial_point(problem, config):
     if config["init"] == "zeros":
         return None  # engine default
     return gaussian_initial_point(problem.dim, config["seed"], config["init_scale"])
@@ -321,7 +321,7 @@ def cmd_run(config, out: Path):
     except ProblemError as exc:  # diagnostics degrade gracefully without x*
         print(f"note: no reference minimizer ({exc}); recording table-mean norms only")
 
-    x0 = _initial_point(config, problem)
+    x0 = _initial_point(problem, config)
     final_norms = {}
     run_seconds = {}
     for lam in config["lambdas"]:
