@@ -14,8 +14,10 @@ and timing), one or more CSVs, and ``summary.json``.  Outputs other than
 metadata.json are deterministic functions of the config, so re-running a
 config reproduces them byte for byte.  Configs come from an optional JSON
 file (``--config``) with individual flags taking precedence; a subcommand
-has flags only for the keys it reads.  A failed command leaves no output
-directory.
+has flags only for the keys it reads.  Values are checked and converted at
+load, and the schedule and rate inputs before the problem is built, so a
+config error exits 2 before any dataset is read or x* solved.  A failed
+command leaves no output directory.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ _CONFIG_KEYS = {
         type=int, help="multiply checkpoint values by this epoch length"),
         minimum=1),
     "p_list": _Key([1], "--p", dict(
-        type=int, action="append", help="moment order; repeatable")),
+        type=int, action="append", help="moment order; repeatable"), minimum=1),
     "max_p": _Key(8, "--max-p", dict(
         type=int, help="largest even order for the constants table")),
     # Each inequality check draws pairs // 3 pairs in each of three dimensions.
@@ -121,6 +123,14 @@ _CONFIG_KEYS = {
     "label_rule": _Key(None),
     "label_column": _Key(0),
     "dump_replications": _Key(False),
+}
+
+# Each synthetic problem type: its generator, called with the spec's n, d and
+# seed, and the kinds of the generator options a spec may give.
+_PROBLEM_TYPES = {
+    "quadratic": (random_quadratic, {"scale": float}),
+    "logistic": (random_logistic,
+                 {"feature_scale": float, "parameter_scale": float}),
 }
 
 _PROBLEM_CONFIG = ("problem", "dataset", "label_rule", "format", "scale",
@@ -150,6 +160,38 @@ def _counters(value) -> list[int]:
     return [int(c) for c in (value.split(",") if isinstance(value, str) else value)]
 
 
+def _problem_spec(spec: dict) -> dict:
+    """The spec completed from the default spec, checked and converted."""
+    spec = {**_CONFIG_KEYS["problem"].default, **spec}
+    family = spec["type"]
+    if not isinstance(family, str) or family not in _PROBLEM_TYPES:
+        raise CliError(f"unknown problem type {family!r}")
+    kinds = {"n": int, "d": int, "seed": int, **_PROBLEM_TYPES[family][1]}
+    unknown = sorted(set(spec) - {"type", *kinds})
+    if unknown:
+        raise CliError(f"unknown key(s) in the {family} problem spec: {unknown} "
+                       f"(known: {sorted({'type', *kinds})})")
+    for key, kind in kinds.items():
+        what, fits, _ = _KINDS[kind]
+        if key in spec and not fits(spec[key]):
+            raise CliError(f"--problem key {key!r} must be {what}, got {spec[key]!r}")
+    for key, least in (("n", 1), ("d", 1), ("seed", 0)):
+        if spec[key] < least:
+            raise CliError(f"--problem key {key!r} must be at least {least}, "
+                           f"got {spec[key]!r}")
+    return {"type": family, **{key: _KINDS[kind][2](spec[key])
+                               for key, kind in kinds.items() if key in spec}}
+
+
+def _label_rule(rule: dict) -> dict:
+    """Each side of the rule as a sorted list of distinct float labels."""
+    if all(isinstance(labels, list) for labels in rule.values()):
+        with contextlib.suppress(TypeError, ValueError):
+            return LabelRule(**{key: frozenset(map(float, labels))
+                                for key, labels in rule.items()}).describe()
+    raise CliError(f"label_rule values must be lists of labels: {rule!r}")
+
+
 # What a config value must be, by the argparse type of its key's flag (a
 # string when the flag sets none) or the type of a flagless key's default,
 # and the converter that gives it that kind.  Checkpoints, a string from the
@@ -159,7 +201,10 @@ _KINDS = {
     float: ("a number", lambda v: _is_integer(v) or isinstance(v, float), float),
     str: ("a string", lambda v: isinstance(v, str), str),
     bool: ("true or false", lambda v: isinstance(v, bool), bool),
-    _json_arg: ("a JSON object", lambda v: isinstance(v, dict), dict),
+    "problem": ("a JSON object", lambda v: isinstance(v, dict), _problem_spec),
+    "label_rule": ("a JSON object with the keys 'negative' and 'positive' only",
+                   lambda v: isinstance(v, dict) and set(v) == {"negative", "positive"},
+                   _label_rule),
     "checkpoints": ("comma-separated counters or a list of integers", lambda v: (
         all(c.strip().isdigit() for c in v.split(",")) if isinstance(v, str)
         else isinstance(v, list) and all(map(_is_integer, v))), _counters),
@@ -172,8 +217,8 @@ def _check_value(key, value):
     CliError naming the key, by its flag if it has one.  None with a None
     default stays None."""
     entry = _CONFIG_KEYS[key]
-    if value is None and entry.default is None or key == "label_rule":
-        return value  # _label_rule checks a label rule
+    if value is None and entry.default is None:
+        return value
     name, options = entry.flag or key, entry.options
     if "choices" in options and value not in options["choices"]:
         raise CliError(f"{name} must be one of {options['choices']}, got {value!r}")
@@ -219,74 +264,28 @@ def _load_config(args) -> dict:
             config[key] = value
     config = {key: _check_value(key, config[key])
               for key in _COMMAND_KEYS[args.subcommand]}
-    lambdas = config.get("lambdas", [])
-    for lam in lambdas:
+    for lam in config.get("lambdas", []):
         if not 0 <= lam <= 1:
             raise CliError(f"--lambda must lie in [0, 1], got {lam!r}")
-    if len(set(lambdas)) < len(lambdas):
-        raise CliError(f"--lambda repeats a value: {lambdas}")
+    for key in ("lambdas", "p_list"):
+        values = config.get(key, [])
+        if len(set(values)) < len(values):
+            raise CliError(f"{_CONFIG_KEYS[key].flag} repeats a value: {values}")
+    if config.get("dataset") and not Path(config["dataset"]).exists():
+        raise CliError(f"file not found: {Path(config['dataset'])}")
     return config
 
 
-# Each synthetic problem type: its generator, called with the spec's n, d
-# and seed, and the converters of the generator options a spec may give,
-# which are also the kinds ``_KINDS`` checks them against.
-_PROBLEM_TYPES = {
-    "quadratic": (random_quadratic, {"scale": float}),
-    "logistic": (random_logistic,
-                 {"feature_scale": float, "parameter_scale": float}),
-}
-
-
 def make_problem(config: dict):
-    """Problem from a config: an explicit dataset wins over a synthetic spec."""
+    """Problem from a converted config; a dataset wins over a synthetic spec."""
     if config["dataset"]:
-        path = Path(config["dataset"])
-        if not path.exists():
-            raise CliError(f"file not found: {path}")
-        return load_dataset(
-            path,
-            format=config["format"],
-            label_rule=_label_rule(config["label_rule"]),
-            label_column=config["label_column"],
-            scale=config["scale"],
-        )
-    # The default spec supplies the type, n, d and seed a spec leaves out.
-    spec = {**_CONFIG_KEYS["problem"].default, **config["problem"]}
-    kind = spec["type"]
-    if kind not in _PROBLEM_TYPES:
-        raise CliError(f"unknown problem type {kind!r}")
-    generator, options = _PROBLEM_TYPES[kind]
-    known = {"type", "n", "d", "seed", *options}
-    unknown = sorted(set(spec) - known)
-    if unknown:
-        raise CliError(f"unknown key(s) in the {kind} problem spec: {unknown} "
-                       f"(known: {sorted(known)})")
-    for key, kind in {"n": int, "d": int, "seed": int, **options}.items():
-        what, fits, _ = _KINDS[kind]
-        if key in spec and not fits(spec[key]):
-            raise CliError(f"--problem key {key!r} must be {what}, "
-                           f"got {spec[key]!r}")
-    for key, least in (("n", 1), ("d", 1), ("seed", 0)):
-        if spec[key] < least:
-            raise CliError(f"--problem key {key!r} must be at least {least}, "
-                           f"got {spec[key]!r}")
-    given = {key: convert(spec[key]) for key, convert in options.items()
-             if key in spec}
-    return generator(int(spec["n"]), int(spec["d"]), int(spec["seed"]), **given)
-
-
-def _label_rule(spec) -> LabelRule:
-    if spec is None:
-        return DIGIT_SPLIT
-    keys = {"negative", "positive"}
-    if not isinstance(spec, dict) or set(spec) != keys:
-        raise CliError("label_rule must be a JSON object with the keys 'negative' "
-                       f"and 'positive' only, got {spec!r}")
-    try:
-        return LabelRule(**{k: frozenset(float(v) for v in spec[k]) for k in keys})
-    except (TypeError, ValueError):
-        raise CliError(f"label_rule values must be lists of labels: {spec!r}") from None
+        rule = config["label_rule"] or DIGIT_SPLIT.describe()
+        rule = LabelRule(**{key: frozenset(labels) for key, labels in rule.items()})
+        return load_dataset(config["dataset"], format=config["format"], label_rule=rule,
+                            label_column=config["label_column"], scale=config["scale"])
+    spec = dict(config["problem"])
+    generator = _PROBLEM_TYPES[spec.pop("type")][0]
+    return generator(spec.pop("n"), spec.pop("d"), spec.pop("seed"), **spec)
 
 
 def _write_json(path: Path, payload: dict):
@@ -312,8 +311,8 @@ def _initial_point(problem, config):
 
 
 def cmd_run(config, out: Path):
-    problem = make_problem(config)
     schedule = StepSchedule(config["c"], config["alpha"])
+    problem = make_problem(config)
 
     x_ref = None
     try:
@@ -394,15 +393,15 @@ def cmd_clt(config, out: Path):
 
 
 def cmd_rates(config, out: Path):
-    problem = make_problem(config)
     schedule = StepSchedule(config["c"], config["alpha"])
-    x_ref = solve_minimizer(problem)
-
+    p_list = config["p_list"]
+    checkpoints = check_rate_inputs(_checkpoints(config), p_list, config["mu"])
+    problem = make_problem(config)
+    # The one check that needs the problem: its family's secant constant.
     mu = problem.secant_constant if config["mu"] is None else config["mu"]
     if mu is None:
         raise CliError("rates need --mu for problems without a known secant constant")
-    p_list = config["p_list"]
-    checkpoints = check_rate_inputs(_checkpoints(config), p_list, mu)
+    x_ref = solve_minimizer(problem)
     # No restricted secant constant exceeds rho, the smallest eigenvalue of
     # H(x*): along its eigenvector the secant ratio tends to rho.
     rho = float(np.linalg.eigvalsh(problem.hessian(x_ref)).min())

@@ -281,6 +281,10 @@ class TestLemmasCommand:
         assert "even" in capsys.readouterr().err
 
 
+ALPHA_ABOVE_1 = ("alpha must not exceed 1 (got 2.0); exponents above 1 make the "
+                 "step sequence summable and are unsupported")
+
+
 class TestInvalidInputs:
     def test_unknown_config_key_named(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -330,6 +334,7 @@ class TestInvalidInputs:
         ('{"d": -1}', "--problem key 'd' must be at least 1, got -1"),
         ('{"n": 0}', "--problem key 'n' must be at least 1, got 0"),
         ('{"seed": -3}', "--problem key 'seed' must be at least 0, got -3"),
+        ('{"type": [1]}', "unknown problem type [1]"),
     ])
     def test_problem_spec_value_of_wrong_kind_named(self, tmp_path, capsys, spec,
                                                     message):
@@ -366,19 +371,49 @@ class TestInvalidInputs:
         ("run", {"label_column": "0"}, "label_column must be an integer, got '0'"),
         ("clt", {"dump_replications": 1},
          "dump_replications must be true or false, got 1"),
+        ("check", {"problem": {"n": "x"}, "dataset": "CONFIG"},
+         "--problem key 'n' must be an integer, got 'x'"),
+        ("run", {"label_rule": {"negative": [-1], "positive": 1}},
+         "label_rule values must be lists of labels: {'negative': [-1], 'positive': 1}"),
+        ("run", {"label_rule": {"negative": "01", "positive": [5]}},
+         "label_rule values must be lists of labels: "
+         "{'negative': '01', 'positive': [5]}"),
+        ("run", {"dataset": "no-such-file.csv"}, "file not found: no-such-file.csv"),
+        ("check", {"p_list": [0]}, "--p must be at least 1, got 0"),
+        ("rates", {"checkpoints": [5]}, "at least 2 checkpoints are needed for a slope"),
+        ("rates", {"p_list": [1, 1]}, "--p repeats a value: [1, 1]"),
+        ("run", {"alpha": 2}, ALPHA_ABOVE_1),
+        ("rates", {"alpha": 2}, ALPHA_ABOVE_1),
     ], ids=["lambdas-scalar", "lambdas-string", "lambda-range", "lambda-repeated",
             "iters-null", "iters-fraction", "reps-string", "p_list-scalar",
             "checkpoints-string", "init-choice", "problem-list", "label_column",
-            "dump_replications"])
+            "dump_replications", "problem-with-dataset", "label_rule-scalar",
+            "label_rule-string", "dataset-missing", "p_list-zero",
+            "checkpoints-one", "p_list-repeated", "run-alpha", "rates-alpha"])
     def test_malformed_config_value_named(self, tmp_path, capsys, monkeypatch,
                                           command, values, message):
-        # Checked at load: no problem is made, so no ensemble runs.
+        # Checked before any problem is made: make_problem is never called.
         monkeypatch.setattr(cli, "make_problem", None)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(values))
+        # "CONFIG" names an existing file that is never read: the config itself.
+        config.write_text(json.dumps(
+            {key: str(config) if value == "CONFIG" else value
+             for key, value in values.items()}))
         assert main([command, "--config", str(config), "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == [config]
+
+    def test_rates_checks_mu_before_solving(self, tmp_path, capsys, monkeypatch):
+        # A dataset has no known secant constant: rates needs --mu, and says
+        # so before it solves for x*.
+        data = tmp_path / "four.csv"
+        data.write_text("0,1.0,0.0\n7,0.0,2.0\n3,2.0,1.0\n8,1.0,0.0\n")
+        monkeypatch.setattr(cli, "solve_minimizer", None)
+        assert main(["rates", "--dataset", str(data), "--checkpoints", "10,20",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: rates need --mu for problems without a known secant constant\n")
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_named(self, tmp_path, capsys):
         code = main([
@@ -649,11 +684,50 @@ def test_rates_writes_the_linearised_slope_prediction(tmp_path, capsys, alpha,
      {"feature_scale": 1.0, "parameter_scale": 0.3}),
 ])
 def test_problem_spec_defaults_and_conversions(spec, options):
+    spec = cli._check_value("problem", spec)
     described = cli.make_problem({"dataset": None, "problem": spec}).describe()
     assert {key: described[key] for key in ("N", "d", "seed")} == {
         "N": 50, "d": 5, "seed": 7}
     assert {key: described[key] for key in options} == options
     assert all(type(described[key]) is float for key in options)
+
+
+@pytest.mark.parametrize("with_dataset", [False, True], ids=["spec", "dataset"])
+def test_metadata_records_converted_spec_and_rule(tmp_path, with_dataset):
+    # A partial spec and a label rule are recorded completed and normalized,
+    # whether the spec came from a file or a flag, and a rerun from that
+    # metadata.json writes every other file again, byte for byte.
+    data = tmp_path / "tiny.csv"
+    rng = np.random.default_rng(1)
+    data.write_text("".join(
+        f"{label},{rng.standard_normal()!r},{rng.standard_normal()!r}\n"
+        for label in [-1, 1, 2] * 8))
+    spec = {"type": "logistic", "n": 30.0, "d": 3, "feature_scale": 2}
+    rule = {"negative": [-1, -1.0], "positive": [2, 1]}
+    given = {"label_rule": rule, **({"dataset": str(data)} if with_dataset else {})}
+    as_file = tmp_path / "file.json"
+    as_file.write_text(json.dumps({**given, "problem": spec}))
+    as_flag = tmp_path / "flag.json"
+    as_flag.write_text(json.dumps(given))
+    common = ["--lambda", "0.5", "--iters", "300", "--diag-every", "100"]
+    runs = []
+    for argv in (["--config", str(as_file)],
+                 ["--config", str(as_flag), "--problem", json.dumps(spec)]):
+        out = tmp_path / str(len(runs))
+        assert main(["run", *argv, *common, "--out-dir", str(out)]) == 0
+        runs.append(latest_output(out, "run"))
+    configs = [json.loads((run / "metadata.json").read_text())["config"]
+               for run in runs]
+    assert configs[0] == configs[1]
+    assert configs[0]["problem"] == {"type": "logistic", "n": 30, "d": 3, "seed": 7,
+                                     "feature_scale": 2.0}
+    assert configs[0]["label_rule"] == {"negative": [-1.0], "positive": [1.0, 2.0]}
+    assert main(["run", "--config", str(runs[0] / "metadata.json"),
+                 "--out-dir", str(tmp_path / "rerun")]) == 0
+    runs.append(latest_output(tmp_path / "rerun", "run"))
+    written = [{p.name: p.read_bytes() for p in sorted(run.iterdir())
+                if p.name != "metadata.json"} for run in runs]
+    assert len(written[0]) == 3 and written[0] == written[1] == written[2]
 
 
 def test_rates_runs_one_ensemble_per_lambda(tmp_path, monkeypatch):

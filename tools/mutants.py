@@ -85,6 +85,22 @@ MUTANTS = [
      "        if not finite.all():\n",
      "        if False:\n",
      "tests/test_datasets.py::TestDenseCsv::test_scaled_overflow_names_first_row"),
+    ("spec-unconverted-with-dataset", "src/lambda_saga/cli.py",
+     "config = {key: _check_value(key, config[key])",
+     'config = {key: config[key] if key == "problem" and config["dataset"]\n'
+     "              else _check_value(key, config[key])",
+     "tests/test_cli.py::TestInvalidInputs::test_malformed_config_value_named"
+     "[problem-with-dataset]"),
+    ("p-repeat-accepted", "src/lambda_saga/cli.py",
+     'for key in ("lambdas", "p_list"):',
+     'for key in ("lambdas",):',
+     "tests/test_cli.py::TestInvalidInputs::test_malformed_config_value_named"
+     "[p_list-repeated]"),
+    ("rates-prologue-deleted", "src/lambda_saga/cli.py",
+     'checkpoints = check_rate_inputs(_checkpoints(config), p_list, config["mu"])',
+     "checkpoints = tuple(_checkpoints(config))",
+     "tests/test_cli.py::TestInvalidInputs::test_malformed_config_value_named"
+     "[checkpoints-one]"),
 ]
 
 
