@@ -38,8 +38,8 @@ import numpy as np
 from . import __version__
 from .datasets import DIGIT_SPLIT, LabelRule, load_dataset
 from .engine import (
-    RunError, gaussian_initial_point, run, run_ensemble, write_trace_csv,
-    write_trace_metadata,
+    RunError, _check_seed, gaussian_initial_point, run, run_ensemble,
+    write_trace_csv, write_trace_metadata,
 )
 from .inequalities import check_norm_power_inequality, cp_dp, recursion_bound_trace
 from .montecarlo import check_rate_inputs, clt_ensemble, rate_estimate
@@ -172,9 +172,8 @@ def _problem_spec(spec: dict) -> dict:
         raise CliError(f"unknown key(s) in the {family} problem spec: {unknown} "
                        f"(known: {sorted({'type', *kinds})})")
     for key, kind in kinds.items():
-        what, fits, _ = _KINDS[kind]
-        if key in spec and not fits(spec[key]):
-            raise CliError(f"--problem key {key!r} must be {what}, got {spec[key]!r}")
+        if key in spec:
+            _check_kind(f"--problem key {key!r}", kind, spec[key])
     for key, least in (("n", 1), ("d", 1), ("seed", 0)):
         if spec[key] < least:
             raise CliError(f"--problem key {key!r} must be at least {least}, "
@@ -211,11 +210,21 @@ _KINDS = {
 }
 
 
+def _check_kind(name, kind, value) -> None:
+    """A CliError naming ``name`` unless ``value`` is of ``kind`` and, if a
+    number, finite."""
+    what, fits, _ = _KINDS[kind]
+    if not fits(value):
+        raise CliError(f"{name} must be {what}, got {value!r}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise CliError(f"{name} must be finite, got {value!r}")
+
+
 def _check_value(key, value):
     """``value`` converted to the kind of ``key``, a list item by item.  A
-    value not of that kind, not one of its choices or below its minimum is a
-    CliError naming the key, by its flag if it has one.  None with a None
-    default stays None."""
+    value not of that kind, not finite, not one of its choices or below its
+    minimum is a CliError naming the key, by its flag if it has one.  None
+    with a None default stays None."""
     entry = _CONFIG_KEYS[key]
     if value is None and entry.default is None:
         return value
@@ -226,11 +235,11 @@ def _check_value(key, value):
     if listed and not isinstance(value, list):
         raise CliError(f"{name} must be a list, got {value!r}")
     kind = options.get("type", str) if entry.flag else type(entry.default)
-    what, fits, convert = _KINDS[key if key in _KINDS else kind]
+    kind = key if key in _KINDS else kind
+    convert = _KINDS[kind][2]
     items = []
     for item in value if listed else [value]:
-        if not fits(item):
-            raise CliError(f"{name} must be {what}, got {item!r}")
+        _check_kind(name, kind, item)
         if entry.minimum is not None and item < entry.minimum:
             raise CliError(f"{name} must be at least {entry.minimum}, got {item!r}")
         items.append(convert(item))
@@ -264,6 +273,7 @@ def _load_config(args) -> dict:
             config[key] = value
     config = {key: _check_value(key, config[key])
               for key in _COMMAND_KEYS[args.subcommand]}
+    _check_seed(config["seed"])
     for lam in config.get("lambdas", []):
         if not 0 <= lam <= 1:
             raise CliError(f"--lambda must lie in [0, 1], got {lam!r}")
@@ -349,6 +359,8 @@ def cmd_clt(config, out: Path):
             "central-limit ensembles require the step 1/n: set c=1 and alpha=1 "
             "(the normality result covers no other schedule)"
         )
+    if config["reps"] < 2:  # a sample covariance needs two replications
+        raise CliError(f"--reps must be at least 2, got {config['reps']}")
     problem = make_problem(config)
     x_ref = solve_minimizer(problem)
 

@@ -15,7 +15,9 @@ which is the same expression with lam distributed; this parenthesization
 makes the lam = 0 path bitwise identical to SGD and the lam = 1 path bitwise
 identical to the SAGA update written left to right.  The table mean is kept
 incrementally, ``mean += (grad - row) / N``, and recomputed from the table
-every N steps (resync) to keep floating-point drift bounded.
+every N steps (resync) to keep floating-point drift bounded: the step taken
+at each state counter n that is a multiple of N resyncs, so at counter n the
+mean has taken (n - 1) mod N updates since its last resync.
 
 The step is written once, in ``_steps``, for M replications at a time: an
 :class:`OptimizerState` holds (M, d) iterates and table means and the
@@ -34,9 +36,10 @@ holds N - 1 (``np.min_scalar_type``: uint8 up to N = 256, uint16 up to
 65,536), an eighth of int64's bytes for small N.  The samplers still draw
 int64 from their unchanged streams and every index is below N, so storing
 it narrows no value.  The steps run on intp indices: the block is widened
-one kernel call, at most 64 steps, at a time, so the flat table row k*M + m
-cannot wrap in a narrow type and neither ``take`` nor the row arithmetic
-casts on every step.
+one kernel call, at most 64 steps, at a time, and each call forms the flat
+table rows k*M + m of its steps in one (steps, M) intp array, so no row
+wraps in a narrow type and neither ``take`` nor the row arithmetic casts on
+every step.
 
 The gradient tables of all replications form one component-major table, in
 one of two forms chosen from what the problem's ``gradient_table`` returns:
@@ -83,7 +86,7 @@ import json
 import operator
 import time
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -156,6 +159,8 @@ _INIT_STREAM_SALT = 0x9E3779B97F4A7C15
 
 def gaussian_initial_point(dim: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """Seeded Gaussian initial point, decoupled from the sampling stream."""
+    if not np.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     gen = np.random.Generator(np.random.Philox(key=_check_seed(seed) ^ _INIT_STREAM_SALT))
     return scale * gen.standard_normal(dim)
 
@@ -218,7 +223,6 @@ class _DenseTable:
 
     def __init__(self, rows0, m):
         n_comp, dim = rows0.shape
-        self.n_components = n_comp
         self.table = np.empty((n_comp, m, dim))
         self.table[...] = rows0[:, None, :]
         self._row_dtype = np.dtype((np.void, 8 * dim))
@@ -258,7 +262,6 @@ class _ScalarTable:
     """
 
     def __init__(self, features, scalars0, m):
-        self.n_components = len(scalars0)
         self.features = features
         self.s = np.empty((len(scalars0), m))
         self.s[...] = scalars0[:, None]
@@ -297,9 +300,10 @@ class OptimizerState:
     gradients of all of them.  Every replication starts at ``x1`` with the
     same table rows, so ``mean0``, the (1, d) mean of one replication's rows,
     repeated, is the whole table's.  ``n`` is the iteration counter, shared
-    by all replications and starting at 1, and ``samplers`` holds each
-    replication's IndexSampler (none when the caller supplies the indices).
-    A scalar run is the state with M = 1, whose iterate is ``x[0]``.
+    by all replications and starting at 1; the mean was last resynced
+    (n - 1) mod N steps ago.  ``samplers`` holds each replication's
+    IndexSampler (none when the caller supplies the indices).  A scalar run
+    is the state with M = 1, whose iterate is ``x[0]``.
     """
 
     def __init__(self, table, mean0, x1, samplers=()):
@@ -307,13 +311,9 @@ class OptimizerState:
         self.table = table
         self.mean = np.repeat(mean0, m, axis=0)
         self.x = np.broadcast_to(np.asarray(x1, dtype=float), (m, dim)).copy()
-        self.n_components = table.n_components
         self.n = 1
         self.samplers = list(samplers)
-        self.since_resync = 0
         # Per-step buffers, reused across the whole run.
-        self.flat = np.empty(m, dtype=np.int64)
-        self.rep_offset = np.arange(m)
         self.direction = np.empty((m, dim))
         self.scratch = np.empty((m, dim))
 
@@ -379,20 +379,15 @@ def _steps(state: OptimizerState, problem, lam, gammas, ks) -> None:
     """
     x, mean, table = state.x, state.mean, state.table
     row, direction, scratch = table.row, state.direction, state.scratch
-    m, n_comp = len(x), state.n_components
-    flat = state.flat
-    for gamma, k in zip(gammas, ks):
+    m, n_comp = len(x), problem.n_components
+    # Replication m's row of component k is row k*M + m of the table.
+    flats = ks * m
+    flats += np.arange(m)
+    for gamma, k, flat in zip(gammas, ks, flats):
         try:
             fresh = problem.component_gradients(k, x)
         except Exception as exc:
             raise RunError(f"step failed at iteration n={state.n}: {exc}") from exc
-        # Replication m's row of component k is row k*M + m of the table;
-        # with one replication that is k itself.
-        if m == 1:
-            flat = k
-        else:
-            np.multiply(k, m, out=flat)
-            np.add(flat, state.rep_offset, out=flat)
         g_new = table.load(flat, fresh)
         # x -= gamma * ((g_new - lam * row) + lam * mean)
         np.multiply(row, lam, out=direction)
@@ -406,10 +401,8 @@ def _steps(state: OptimizerState, problem, lam, gammas, ks) -> None:
         np.divide(scratch, n_comp, out=scratch)
         np.add(mean, scratch, out=mean)
         table.store(flat)
-        state.since_resync += 1
-        if state.since_resync == n_comp:
+        if state.n % n_comp == 0:
             mean = state.mean = table.mean()
-            state.since_resync = 0
         state.n += 1
 
 
@@ -453,7 +446,7 @@ def _drive(state, problem, lam, schedule, n_iters, record_at, record, name):
     """
     m = len(state.x)
     samplers = state.samplers
-    narrow = np.min_scalar_type(state.n_components - 1)
+    narrow = np.min_scalar_type(problem.n_components - 1)
     ks = np.empty((min(_STEP_BLOCK, n_iters), m), dtype=narrow)
     tile = np.empty((min(_SAMPLER_TILE, m), ks.shape[0]), dtype=narrow)
     due = bisect.bisect_left(record_at, state.n)
@@ -515,29 +508,27 @@ class RunTrace:
     schedule: StepSchedule
     lam: float
     seed: int
-    snapshots: list[DiagnosticsSnapshot] = field(default_factory=list)
-    final_iterate: np.ndarray | None = None
-    problem_descriptor: dict = field(default_factory=dict)
-    x0: np.ndarray | None = None
-    wall_time_s: float | None = None
+    snapshots: list[DiagnosticsSnapshot]
+    final_iterate: np.ndarray
+    problem_descriptor: dict
+    x0: np.ndarray
+    wall_time_s: float
 
 
-# Cache of (gradient table at x_ref, f(x_ref)) per live problem instance;
-# problems are immutable so the cached values never go stale.
+# The (x_ref bytes, gradient table at x_ref, f(x_ref)) of the last reference
+# point of each live problem instance; problems are immutable, so an entry
+# goes stale only when its problem's reference point changes.
 _REF_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _ref_quantities(problem, x_ref):
     x_ref = np.asarray(x_ref, dtype=float)
-    per_problem = _REF_CACHE.setdefault(problem, {})
     key = x_ref.tobytes()
-    hit = per_problem.get(key)
-    if hit is None:
-        hit = (problem.gradient_table(x_ref), float(problem.value(x_ref)))
-        if len(per_problem) > 8:
-            per_problem.clear()
-        per_problem[key] = hit
-    return hit
+    hit = _REF_CACHE.get(problem)
+    if hit is None or hit[0] != key:
+        hit = _REF_CACHE[problem] = (key, problem.gradient_table(x_ref),
+                                     float(problem.value(x_ref)))
+    return hit[1:]
 
 
 def _sq_errors(x, x_ref) -> np.ndarray:
@@ -619,25 +610,19 @@ def run(
     if diag_every <= 0:
         raise ValueError(f"diag_every must be positive, got {diag_every}")
 
-    state = _start(problem, _initial_point(problem, x0), (seed,))
+    x0 = _initial_point(problem, x0)
+    state = _start(problem, x0, (seed,))
     start = time.perf_counter()
-    trace = RunTrace(
-        schedule=schedule,
-        lam=lam,
-        seed=seed,
-        problem_descriptor=problem.describe(),
-        x0=state.x[0].copy(),
-    )
+    snapshots = []
 
     def record(state):
-        trace.snapshots.append(diagnostics(state, problem, x_ref, schedule))
+        snapshots.append(diagnostics(state, problem, x_ref, schedule))
 
     counters = sorted({1, *range(diag_every, n_iters + 1, diag_every), n_iters + 1})
     _drive(state, problem, lam, schedule, n_iters, counters, record,
            lambda r: f"run with seed {seed}")
-    trace.final_iterate = state.x[0].copy()
-    trace.wall_time_s = time.perf_counter() - start
-    return trace
+    return RunTrace(schedule, lam, seed, snapshots, state.x[0].copy(),
+                    problem.describe(), x0.copy(), time.perf_counter() - start)
 
 
 # -- ensembles ----------------------------------------------------------------
@@ -656,9 +641,9 @@ class EnsembleResult:
     seeds: list[int]
     final_iterates: np.ndarray
     final_grad_eval_norm: np.ndarray
-    checkpoint_iterates: dict[int, np.ndarray] = field(default_factory=dict)
-    checkpoint_sq_error: dict[int, np.ndarray] = field(default_factory=dict)
-    checkpoint_value_gap: dict[int, np.ndarray] = field(default_factory=dict)
+    checkpoint_iterates: dict[int, np.ndarray]
+    checkpoint_sq_error: dict[int, np.ndarray]
+    checkpoint_value_gap: dict[int, np.ndarray]
 
 
 def derive_seeds(base_seed: int, m_replications: int) -> list[int]:
@@ -783,7 +768,7 @@ def write_trace_metadata(trace: RunTrace, path) -> None:
     """What reproduces the run, as sorted JSON.  The wall time is left out,
     so that the file is byte-reproducible.  ``"x1"``, the first iterate,
     is ``x0``: the iteration starts there."""
-    x0 = None if trace.x0 is None else trace.x0.tolist()
+    x0 = trace.x0.tolist()
     meta = {
         "schedule": {"c": trace.schedule.c, "alpha": trace.schedule.alpha},
         "lambda": trace.lam,

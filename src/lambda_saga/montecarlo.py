@@ -187,9 +187,8 @@ def fit_loglog_slope(ns, values) -> tuple[float, float]:
     dof = len(x) - 2
     if dof <= 0:
         return slope, float("inf")
-    ss_res = float(residual[0]) if len(residual) else float(
-        ((design @ coef - y) ** 2).sum()
-    )
+    # Full rank (dof > 0, distinct checkpoints): lstsq returns the residual.
+    ss_res = float(residual[0])
     sxx = float(((x - x.mean()) ** 2).sum())
     se = np.sqrt(ss_res / dof / sxx)
     return slope, float(1.96 * se)

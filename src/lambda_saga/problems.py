@@ -394,6 +394,8 @@ def check_assumptions(
 
     L = problem.growth_constant(1)
     L_p = {p: problem.growth_constant(p) for p in p_list}
+    # Order 1 is tested whatever p_list holds: it gives gradient_growth_bounded.
+    bounds = {1: L, **L_p}
 
     rho = None
     try:
@@ -404,7 +406,7 @@ def check_assumptions(
 
     table_star = problem.gradient_table(x_star)
     secant_positive = True
-    growth_ok = {p: True for p in p_list}
+    growth_ok = dict.fromkeys(bounds, True)
     mu_min = np.inf
     for x in points:
         diff = x - x_star
@@ -416,13 +418,13 @@ def check_assumptions(
             secant_positive = False
         mu_min = min(mu_min, secant / v)
         disc2 = ((problem.gradient_table(x) - table_star) ** 2).sum(axis=1)
-        for p in p_list:
-            if np.mean(disc2**p) > L_p[p] * v**p * (1.0 + 1e-12):
+        for p, bound in bounds.items():
+            if np.mean(disc2**p) > bound * v**p * (1.0 + 1e-12):
                 growth_ok[p] = False
 
     flags = {
         "secant_positive": secant_positive,
-        "gradient_growth_bounded": growth_ok.get(1, True),
+        "gradient_growth_bounded": growth_ok[1],
         "hessian_min_eig_above_half": (rho is not None and rho > 0.5),
         "restricted_secant_positive": mu_min > 0.0,
     }

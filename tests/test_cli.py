@@ -384,15 +384,32 @@ class TestInvalidInputs:
         ("rates", {"p_list": [1, 1]}, "--p repeats a value: [1, 1]"),
         ("run", {"alpha": 2}, ALPHA_ABOVE_1),
         ("rates", {"alpha": 2}, ALPHA_ABOVE_1),
+        ("run", {"init": "gaussian", "init_scale": float("nan")},
+         "--init-scale must be finite, got nan"),
+        ("run", {"c": float("inf")}, "--c must be finite, got inf"),
+        ("rates", {"mu": float("inf")}, "--mu must be finite, got inf"),
+        ("clt", {"lambdas": [0.5, float("nan")]}, "--lambda must be finite, got nan"),
+        ("check", {"problem": {"type": "logistic", "feature_scale": float("-inf")}},
+         "--problem key 'feature_scale' must be finite, got -inf"),
+        ("run", {"seed": -1}, "seed -1 must lie in [0, 2**128)"),
+        ("clt", {"seed": -1}, "seed -1 must lie in [0, 2**128)"),
+        ("rates", {"seed": 2**128}, f"seed {2**128} must lie in [0, 2**128)"),
+        ("check", {"seed": -1}, "seed -1 must lie in [0, 2**128)"),
+        ("lemmas", {"seed": -1}, "seed -1 must lie in [0, 2**128)"),
+        ("clt", {"reps": 1}, "--reps must be at least 2, got 1"),
     ], ids=["lambdas-scalar", "lambdas-string", "lambda-range", "lambda-repeated",
             "iters-null", "iters-fraction", "reps-string", "p_list-scalar",
             "checkpoints-string", "init-choice", "problem-list", "label_column",
             "dump_replications", "problem-with-dataset", "label_rule-scalar",
             "label_rule-string", "dataset-missing", "p_list-zero",
-            "checkpoints-one", "p_list-repeated", "run-alpha", "rates-alpha"])
+            "checkpoints-one", "p_list-repeated", "run-alpha", "rates-alpha",
+            "init_scale-nan", "c-inf", "mu-inf", "lambda-nan", "problem-scale-inf",
+            "run-seed", "clt-seed", "rates-seed", "check-seed", "lemmas-seed",
+            "clt-reps-one"])
     def test_malformed_config_value_named(self, tmp_path, capsys, monkeypatch,
                                           command, values, message):
-        # Checked before any problem is made: make_problem is never called.
+        # Checked before any problem is made: make_problem is never called,
+        # and nothing is printed before the error.
         monkeypatch.setattr(cli, "make_problem", None)
         config = tmp_path / "config.json"
         # "CONFIG" names an existing file that is never read: the config itself.
@@ -400,7 +417,7 @@ class TestInvalidInputs:
             {key: str(config) if value == "CONFIG" else value
              for key, value in values.items()}))
         assert main([command, "--config", str(config), "--out-dir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == [config]
 
     def test_rates_checks_mu_before_solving(self, tmp_path, capsys, monkeypatch):
@@ -536,7 +553,7 @@ class TestFailedCommands:
         (["run", "--dataset", "LABELS", "--format", "svmlight", "--iters", "10"],
          2, "labels.svm: no row has a feature"),
         (["rates", "--dataset", "SEPARABLE", "--scale", "nan", "--mu", "0.5"],
-         2, "scale must be finite and nonzero, got nan"),
+         2, "--scale must be finite, got nan"),
         (["rates", "--dataset", "SEPARABLE", "--scale", "1e308", "--mu", "0.5"],
          2, "separable.csv: row 3: a feature overflows when scaled by 1e+308"),
     ], ids=["clt-seed", "run-diverges", "rates-separable", "run-svmlight-labels-only",

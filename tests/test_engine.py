@@ -125,6 +125,11 @@ class TestGaussianInit:
             2.0 * gaussian_initial_point(4, seed=10, scale=1.0),
         )
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match=rf"^scale must be finite, got {scale}$"):
+            gaussian_initial_point(4, seed=10, scale=scale)
+
 
 def scrambled_state(problem, rng, steps):
     """A scalar state whose table rows were stored at ``steps`` random
@@ -145,7 +150,7 @@ class TestGradientTable:
         problem = random_quadratic(30, 3, seed=0)
         # 217 steps end 7 updates after the last resync.
         state = scrambled_state(problem, np.random.default_rng(0), 217)
-        assert state.since_resync == 7
+        assert (state.n - 1) % problem.n_components == 7
         assert np.allclose(state.mean[0], state.table.rows()[:, 0, :].mean(axis=0),
                            atol=1e-12)
 
@@ -169,7 +174,7 @@ class TestGradientTable:
         drifts = []
 
         def record(state):
-            assert state.since_resync == n_comp - 1
+            assert (state.n - 1) % n_comp == n_comp - 1
             drifts.append(np.abs(state.mean - state.table.mean()).max())
 
         _drive(state, problem, lam, StepSchedule(c, alpha), 3 * n_comp,

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,9 @@ from lambda_saga import (
 )
 from lambda_saga import montecarlo
 from lambda_saga.engine import EnsembleResult
-from lambda_saga.montecarlo import rate_estimate, summarize_scaled_errors
+from lambda_saga.montecarlo import (
+    check_rate_inputs, rate_estimate, summarize_scaled_errors,
+)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +142,16 @@ class TestRateEnsemble:
         with pytest.raises(ValueError, match="2 checkpoints"):
             rate_ensemble(quad, 0.5, StepSchedule(1.0, 1.0), 1, (1000,), 8, 0,
                           solve_minimizer(quad))
+
+    @pytest.mark.parametrize("checkpoints, orders, mu, message", [
+        ((10, 20), (0,), None, "p must be a positive integer, got 0"),
+        ((10, 20), (1,), 0.0, "mu must be positive, got 0.0"),
+        ((10, 20), (1,), -1.0, "mu must be positive, got -1.0"),
+        ((1, 20), (1,), None, "checkpoints must be iteration counters >= 2"),
+    ])
+    def test_rate_inputs_named(self, checkpoints, orders, mu, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_rate_inputs(checkpoints, orders, mu)
 
     def test_non_integral_checkpoint_named(self, quad):
         # Truncated, checkpoint 2.5 would run checkpoint 2.

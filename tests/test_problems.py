@@ -312,6 +312,25 @@ class TestSolveMinimizer:
         with pytest.raises(MinimizerError):
             solve_minimizer(problem)
 
+    @pytest.mark.parametrize("hessian_scale, message", [
+        (0.0, "singular Hessian"),
+        (5e-324, "non-finite Newton step"),
+        (1e6, "did not reach gradient norm 1e-10 in 200 iterations"),
+    ], ids=["singular", "non-finite-step", "no-convergence"])
+    def test_newton_failures_named(self, quad, hessian_scale, message):
+        # The quadratic's true Hessian is the identity; scaled by 0 it is
+        # singular, by the least subnormal its step overflows, and by 1e6
+        # each step moves a millionth of the way to x*.
+        class Scaled(QuadraticProblem):
+            def closed_form_minimizer(self):
+                return None
+
+            def hessian(self, x):
+                return hessian_scale * np.eye(self.dim)
+
+        with pytest.raises(MinimizerError, match=message):
+            solve_minimizer(Scaled(quad.anchors))
+
     def test_newton_agrees_with_long_stochastic_run(self):
         # frozen from a 1e7-iteration lam=1 run (seed 2718) on this instance
         problem = random_logistic(50, 5, seed=405)
@@ -346,6 +365,19 @@ class TestCheckAssumptions:
         assert report.satisfied_flags["gradient_growth_bounded"]
         assert report.satisfied_flags["secant_positive"]
         assert report.mu_estimate > 0.0
+
+    def test_gradient_growth_tested_without_order_1(self, quad):
+        # An L_1 below the quadratic's true 1 is violated at every sample
+        # point, whichever orders p_list names.
+        class SmallL1(QuadraticProblem):
+            def _growth_constant(self, p):
+                return 0.5 if p == 1 else 1.0
+
+        report = check_assumptions(SmallL1(quad.anchors), p_list=(2,),
+                                   sample_count=30, seed=3)
+        assert not report.satisfied_flags["gradient_growth_bounded"]
+        assert report.satisfied_flags["moment_growth_bounded_p2"]
+        assert report.L == 0.5 and report.L_p == {2: 1.0}
 
     def test_requires_minimizer(self):
         class NoMin(FiniteSumProblem):

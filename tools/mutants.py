@@ -101,6 +101,21 @@ MUTANTS = [
      "checkpoints = tuple(_checkpoints(config))",
      "tests/test_cli.py::TestInvalidInputs::test_malformed_config_value_named"
      "[checkpoints-one]"),
+    ("non-finite-number-accepted", "src/lambda_saga/cli.py",
+     "if isinstance(value, float) and not np.isfinite(value):",
+     "if False:",
+     "tests/test_cli.py::TestInvalidInputs::test_malformed_config_value_named"
+     "[mu-inf]"),
+    ("seed-unchecked-at-load", "src/lambda_saga/cli.py",
+     '_check_seed(config["seed"])',
+     'config["seed"]',
+     "tests/test_cli.py::TestInvalidInputs::test_malformed_config_value_named"
+     "[lemmas-seed]"),
+    ("growth-order-1-untested", "src/lambda_saga/problems.py",
+     '"gradient_growth_bounded": growth_ok[1],',
+     '"gradient_growth_bounded": growth_ok[1] if 1 in p_list else True,',
+     "tests/test_problems.py::TestCheckAssumptions"
+     "::test_gradient_growth_tested_without_order_1"),
 ]
 
 
