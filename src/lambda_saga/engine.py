@@ -381,8 +381,7 @@ def _steps(state: OptimizerState, problem, lam, gammas, ks) -> None:
     row, direction, scratch = table.row, state.direction, state.scratch
     m, n_comp = len(x), problem.n_components
     # Replication m's row of component k is row k*M + m of the table.
-    flats = ks * m
-    flats += np.arange(m)
+    flats = ks * m + np.arange(m)
     for gamma, k, flat in zip(gammas, ks, flats):
         try:
             fresh = problem.component_gradients(k, x)
