@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import shutil
 import sys
 import time
@@ -68,13 +69,17 @@ def _json_arg(text: str):
 
 class _Key(NamedTuple):
     """A config key: its default, its flag and the flag's argparse options
-    (no flag: set in a config file only), and the least value it accepts."""
+    (no flag: a config-file key of its default's kind), and its least value."""
 
     default: object
     flag: str | None = None
     options: dict = {}
     minimum: int | None = None
 
+
+# The keys of every --problem spec, whose defaults complete a partial spec.
+_SPEC_KEYS = {"n": _Key(50, minimum=1), "d": _Key(5, minimum=1),
+              "seed": _Key(7, minimum=0)}
 
 # Every config key, once.  A subcommand's parser has the flags of the keys
 # it reads; each value is checked at load, for flags and config files alike.
@@ -96,8 +101,10 @@ _CONFIG_KEYS = {
     "format": _Key("dense-csv", "--format", dict(
         choices=["dense-csv", "svmlight"], help="dataset file format")),
     "scale": _Key(None, "--scale", dict(type=float, help="feature scaling factor")),
-    "problem": _Key({"type": "quadratic", "n": 50, "d": 5, "seed": 7}, "--problem",
-                    dict(type=_json_arg, help="synthetic problem spec as JSON")),
+    "problem": _Key({"type": "quadratic",
+                     **{key: entry.default for key, entry in _SPEC_KEYS.items()}},
+                    "--problem", dict(type=_json_arg,
+                                      help="synthetic problem spec as JSON")),
     "mu": _Key(None, "--mu", dict(type=float, help="restricted secant constant")),
     "checkpoints": _Key(None, "--checkpoints", dict(
         help="comma-separated iteration checkpoints")),
@@ -126,11 +133,11 @@ _CONFIG_KEYS = {
 }
 
 # Each synthetic problem type: its generator, called with the spec's n, d and
-# seed, and the kinds of the generator options a spec may give.
+# seed, and the options a spec may give it, with the generator's defaults.
 _PROBLEM_TYPES = {
-    "quadratic": (random_quadratic, {"scale": float}),
+    "quadratic": (random_quadratic, {"scale": _Key(1.0)}),
     "logistic": (random_logistic,
-                 {"feature_scale": float, "parameter_scale": float}),
+                 {"feature_scale": _Key(3.0), "parameter_scale": _Key(0.3)}),
 }
 
 _PROBLEM_CONFIG = ("problem", "dataset", "label_rule", "format", "scale",
@@ -161,34 +168,36 @@ def _counters(value) -> list[int]:
 
 
 def _problem_spec(spec: dict) -> dict:
-    """The spec completed from the default spec, checked and converted."""
+    """The spec completed from the default spec, each key checked and converted."""
     spec = {**_CONFIG_KEYS["problem"].default, **spec}
-    family = spec["type"]
+    family = spec.pop("type")
     if not isinstance(family, str) or family not in _PROBLEM_TYPES:
         raise CliError(f"unknown problem type {family!r}")
-    kinds = {"n": int, "d": int, "seed": int, **_PROBLEM_TYPES[family][1]}
-    unknown = sorted(set(spec) - {"type", *kinds})
+    keys = {**_SPEC_KEYS, **_PROBLEM_TYPES[family][1]}
+    unknown = sorted(set(spec) - set(keys))
     if unknown:
         raise CliError(f"unknown key(s) in the {family} problem spec: {unknown} "
-                       f"(known: {sorted({'type', *kinds})})")
-    for key, kind in kinds.items():
-        if key in spec:
-            _check_kind(f"--problem key {key!r}", kind, spec[key])
-    for key, least in (("n", 1), ("d", 1), ("seed", 0)):
-        if spec[key] < least:
-            raise CliError(f"--problem key {key!r} must be at least {least}, "
-                           f"got {spec[key]!r}")
-    return {"type": family, **{key: _KINDS[kind][2](spec[key])
-                               for key, kind in kinds.items() if key in spec}}
+                       f"(known: {sorted({'type', *keys})})")
+    return {"type": family,
+            **{key: _check_value(f"--problem key {key!r}", value, keys[key])
+               for key, value in spec.items()}}
 
 
 def _label_rule(rule: dict) -> dict:
     """Each side of the rule as a sorted list of distinct float labels."""
     if all(isinstance(labels, list) for labels in rule.values()):
         with contextlib.suppress(TypeError, ValueError):
-            return LabelRule(**{key: frozenset(map(float, labels))
+            return LabelRule(**{key: frozenset(map(_finite, labels))
                                 for key, labels in rule.items()}).describe()
     raise CliError(f"label_rule values must be lists of labels: {rule!r}")
+
+
+def _finite(value) -> float:
+    """``value`` as a float; a ValueError if not finite or past the float range."""
+    with contextlib.suppress(OverflowError):
+        if np.isfinite(number := float(value)):
+            return number
+    raise ValueError(f"must be finite, got {value!r}")
 
 
 # What a config value must be, by the argparse type of its key's flag (a
@@ -197,7 +206,7 @@ def _label_rule(rule: dict) -> dict:
 # flag, may come as a list from a file; either becomes a list of ints.
 _KINDS = {
     int: ("an integer", _is_integer, int),
-    float: ("a number", lambda v: _is_integer(v) or isinstance(v, float), float),
+    float: ("a number", lambda v: _is_integer(v) or isinstance(v, float), _finite),
     str: ("a string", lambda v: isinstance(v, str), str),
     bool: ("true or false", lambda v: isinstance(v, bool), bool),
     "problem": ("a JSON object", lambda v: isinstance(v, dict), _problem_spec),
@@ -205,27 +214,17 @@ _KINDS = {
                    lambda v: isinstance(v, dict) and set(v) == {"negative", "positive"},
                    _label_rule),
     "checkpoints": ("comma-separated counters or a list of integers", lambda v: (
-        all(c.strip().isdigit() for c in v.split(",")) if isinstance(v, str)
+        all(c.strip().isdecimal() for c in v.split(",")) if isinstance(v, str)
         else isinstance(v, list) and all(map(_is_integer, v))), _counters),
 }
 
 
-def _check_kind(name, kind, value) -> None:
-    """A CliError naming ``name`` unless ``value`` is of ``kind`` and, if a
-    number, finite."""
-    what, fits, _ = _KINDS[kind]
-    if not fits(value):
-        raise CliError(f"{name} must be {what}, got {value!r}")
-    if isinstance(value, float) and not np.isfinite(value):
-        raise CliError(f"{name} must be finite, got {value!r}")
-
-
-def _check_value(key, value):
-    """``value`` converted to the kind of ``key``, a list item by item.  A
-    value not of that kind, not finite, not one of its choices or below its
-    minimum is a CliError naming the key, by its flag if it has one.  None
-    with a None default stays None."""
-    entry = _CONFIG_KEYS[key]
+def _check_value(key, value, entry=None):
+    """``value`` converted to the kind of ``entry``, by default the config
+    key's, a list item by item.  A value not of that kind, not finite, not
+    one of its choices or below its minimum is a CliError naming the key, by
+    its flag if it has one.  None with a None default stays None."""
+    entry = entry or _CONFIG_KEYS[key]
     if value is None and entry.default is None:
         return value
     name, options = entry.flag or key, entry.options
@@ -235,14 +234,17 @@ def _check_value(key, value):
     if listed and not isinstance(value, list):
         raise CliError(f"{name} must be a list, got {value!r}")
     kind = options.get("type", str) if entry.flag else type(entry.default)
-    kind = key if key in _KINDS else kind
-    convert = _KINDS[kind][2]
+    what, fits, convert = _KINDS[key if key in _KINDS else kind]
     items = []
     for item in value if listed else [value]:
-        _check_kind(name, kind, item)
+        if not fits(item):
+            raise CliError(f"{name} must be {what}, got {item!r}")
         if entry.minimum is not None and item < entry.minimum:
             raise CliError(f"{name} must be at least {entry.minimum}, got {item!r}")
-        items.append(convert(item))
+        try:
+            items.append(convert(item))
+        except ValueError as exc:  # only _finite raises one
+            raise CliError(f"{name} {exc}") from None
     return items if listed else items[0]
 
 
@@ -281,8 +283,9 @@ def _load_config(args) -> dict:
         values = config.get(key, [])
         if len(set(values)) < len(values):
             raise CliError(f"{_CONFIG_KEYS[key].flag} repeats a value: {values}")
-    if config.get("dataset") and not Path(config["dataset"]).exists():
-        raise CliError(f"file not found: {Path(config['dataset'])}")
+    # os.path.exists, unlike Path.exists, is False for a name too long to stat.
+    if config.get("dataset") and not os.path.exists(config["dataset"]):
+        raise CliError(f"dataset file not found: {config['dataset']!r}")
     return config
 
 
@@ -488,7 +491,7 @@ def cmd_check(config, out: Path):
 def cmd_lemmas(config, out: Path):
     max_p = config["max_p"]
     if max_p < 2 or max_p % 2 != 0:
-        raise CliError(f"max p must be a positive even integer, got {max_p}")
+        raise CliError(f"--max-p must be a positive even integer, got {max_p}")
 
     table = {p: cp_dp(p) for p in range(2, max_p + 1, 2)}
     for p, consts in table.items():

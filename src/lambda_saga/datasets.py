@@ -126,9 +126,9 @@ def _read_dense_csv(path: Path, label_column: int):
     two reads counts twice, which only adds a row of capacity.
 
     Whatever the C reader rejects (quoted cells, ``1_000``, empty fields,
-    ragged rows, ``#`` lines: ``comments=None`` makes them cells), and any
-    table that fails a shape check, goes to ``_read_dense_csv_lines``, which
-    accepts a superset, parses identically, and names the cause of an error.
+    ragged rows, ``#`` lines: ``comments=None`` makes them cells), a file not
+    UTF-8 and a table that fails a shape check go to ``_read_dense_csv_lines``,
+    which accepts a superset, parses identically, and names an error's cause.
     """
     capacity = 1
     with open(path, "rb") as fb:
@@ -142,7 +142,10 @@ def _read_dense_csv(path: Path, label_column: int):
     rows = 0
     with open(path, newline="") as fh:
         for start in itertools.count(1, _CHUNK_LINES):
-            chunk = list(itertools.islice(fh, _CHUNK_LINES))
+            try:
+                chunk = list(itertools.islice(fh, _CHUNK_LINES))
+            except UnicodeDecodeError:
+                return _read_dense_csv_lines(path, label_column)
             if not chunk:
                 break
             # The C reader skips empty lines and nothing else.
@@ -179,14 +182,15 @@ def _read_dense_csv(path: Path, label_column: int):
 
 def _read_dense_csv_lines(path: Path, label_column: int):
     """The reference parser of ``_read_dense_csv``: one ``float`` per cell
-    through ``csv.reader``.  It produces every dense-CSV ``DatasetError``."""
+    through ``csv.reader``.  It produces every dense-CSV ``DatasetError``;
+    a byte that is not UTF-8 makes its cell non-numeric."""
     # Values go straight into flat arrays of doubles; nested lists of
     # Python floats would take several times the memory of the result.
     features = array("d")
     labels = array("d")
     lines = array("q")
     width = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         start = 1
         for record in reader:
@@ -229,7 +233,7 @@ def _read_svmlight(path: Path):
     labels = []
     lines = []
     max_idx = 0
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         for i, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

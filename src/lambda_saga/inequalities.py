@@ -16,7 +16,7 @@ Two families live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -99,16 +99,9 @@ class RecursionTrace:
     plateau_increase: float
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "n_max": int(len(self.z)),
-            "sup_scaled": self.sup_scaled,
-            "plateaued": self.plateaued,
-            "plateau_increase": self.plateau_increase,
-        }
+        record = asdict(self)
+        record["n_max"] = len(record.pop("z"))
+        return record
 
 
 def _check_recursion_params(a, b, alpha, beta):

@@ -16,7 +16,7 @@ bootstrap holds at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,16 +50,11 @@ class MonteCarloSummary:
     base_seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "M": self.m_replications,
-            "n": self.n_iters,
-            "lambda": self.lam,
-            "base_seed": self.base_seed,
-            "d": self.sample_cov.shape[0],
-            "sample_cov": self.sample_cov.tolist(),
-            "sigma2_scalar": self.sigma2_scalar,
-            "stderr": self.stderr,
-        }
+        record = asdict(self)
+        record.update({"M": record.pop("m_replications"), "n": record.pop("n_iters"),
+                       "lambda": record.pop("lam"), "d": self.sample_cov.shape[0],
+                       "sample_cov": self.sample_cov.tolist()})
+        return record
 
 
 def clt_ensemble(
@@ -158,23 +153,9 @@ class RateEstimate:
     base_seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "alpha": self.alpha,
-            "lambda": self.lam,
-            "M": self.m_replications,
-            "base_seed": self.base_seed,
-            "checkpoints": list(self.checkpoints),
-            "moments": list(self.moments),
-            "slope": self.slope,
-            "slope_ci": self.slope_ci,
-            "value_gap_moments": list(self.value_gap_moments),
-            "value_gap_slope": self.value_gap_slope,
-            "value_gap_slope_ci": self.value_gap_slope_ci,
-            "scaled_sup_ratio": self.scaled_sup_ratio,
-            "condition_report": self.condition_report,
-            "warnings": list(self.warnings),
-        }
+        record = asdict(self)
+        record.update({"lambda": record.pop("lam"), "M": record.pop("m_replications")})
+        return record
 
 
 def fit_loglog_slope(ns, values) -> tuple[float, float]:

@@ -28,7 +28,7 @@ satisfies, and the seeded generators of both families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -353,15 +353,9 @@ class AssumptionReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "L": self.L,
-            "L_p": {str(p): v for p, v in self.L_p.items()},
-            "rho": self.rho,
-            "mu_estimate": self.mu_estimate,
-            "satisfied_flags": dict(self.satisfied_flags),
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
+        # String keys keep summary.json's order: json sorts int keys as
+        # numbers, which would move 10 after 2.
+        return {**asdict(self), "L_p": {str(p): v for p, v in self.L_p.items()}}
 
 
 def check_assumptions(

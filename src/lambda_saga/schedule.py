@@ -8,7 +8,7 @@ second-moment and 2p-th-moment convergence rates are guaranteed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,7 @@ class RateConditionReport:
     messages: tuple[str, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "alpha": self.alpha,
-            "mu": self.mu,
-            "p": self.p,
-            "l2_rate_ok": self.l2_rate_ok,
-            "l2p_rate_ok": self.l2p_rate_ok,
-            "messages": list(self.messages),
-        }
+        return asdict(self)
 
 
 def validate_rate_conditions(

@@ -14,6 +14,9 @@
 * ``quadrature_covariance`` and ``required_horizon``, the covariance
   integral by composite Simpson quadrature, the independent route that
   ``solve_lyapunov`` is cross-checked against.
+* ``MetricQuadratic`` and ``random_metric_quadratic``, a quadratic family
+  whose Hessian is a given SPD matrix A rather than I, the test bed of the
+  central-limit check against ``solve_lyapunov``.
 """
 
 import math
@@ -21,7 +24,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from lambda_saga import QuadraticProblem
+from lambda_saga import FiniteSumProblem, QuadraticProblem
 from lambda_saga.asymptotics import CovarianceError, _require_symmetric
 from lambda_saga.engine import OptimizerState, _DenseTable, _steps
 
@@ -162,3 +165,45 @@ def quadrature_covariance(
     total = np.tensordot(weights, integrand, axes=(0, 0))
     total = (total + total.T) / 2.0
     return (1.0 - lam) ** 2 * total
+
+
+class MetricQuadratic(FiniteSumProblem):
+    """f_k(x) = (x - a_k)^T A (x - a_k) / 2 for anchors a_k and one SPD
+    matrix A: the Hessian is A everywhere and x* is the anchor mean."""
+
+    type_name = "metric-quadratic"
+
+    def __init__(self, anchors, a_matrix):
+        self.anchors = np.asarray(anchors, dtype=float)
+        self.a_matrix = np.asarray(a_matrix, dtype=float)
+        self.n_components, self.dim = self.anchors.shape
+        self._anchor_mean = self.anchors.mean(axis=0)
+
+    def full_gradient(self, x):
+        return self.a_matrix @ (self._check_dim(x) - self._anchor_mean)
+
+    def gradient_table(self, x):
+        return (self._check_dim(x) - self.anchors) @ self.a_matrix
+
+    def component_gradients(self, ks, xs):
+        return (xs - self.anchors.take(ks, axis=0)) @ self.a_matrix
+
+    def values(self, xs):
+        diffs = xs[:, None, :] - self.anchors[None, :, :]
+        return 0.5 * np.einsum("bkd,de,bke->bk", diffs, self.a_matrix, diffs).mean(axis=1)
+
+    def hessian(self, x):
+        return self.a_matrix.copy()
+
+    def closed_form_minimizer(self):
+        return self._anchor_mean.copy()
+
+
+def random_metric_quadratic(n_components, dim, seed, eigenvalues):
+    """Gaussian anchors and A with the given eigenvalues in a seeded random
+    orthonormal basis."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    a_matrix = (basis * np.asarray(eigenvalues, dtype=float)) @ basis.T
+    return MetricQuadratic(rng.standard_normal((n_components, dim)),
+                           (a_matrix + a_matrix.T) / 2.0)

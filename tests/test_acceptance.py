@@ -17,6 +17,7 @@ from references import (
     component_value,
     conditional_step_expectation,
     quadrature_covariance,
+    random_metric_quadratic,
     required_horizon,
     saga_reference,
     sgd_reference,
@@ -225,6 +226,30 @@ def test_criterion_05_dirac_limit(clt_summaries, dirac_summaries):
         f"sigma2(1)/sigma2(0) at n=1e5 = {fraction:.2e} (limit 0.05); "
         f"medians over 3 reps {[medians[n] for n in horizons]} monotone={monotone}",
     )
+
+
+def _rel_frobenius(estimate, reference):
+    return float(np.linalg.norm(estimate - reference) / np.linalg.norm(reference))
+
+
+def test_criterion_13_clt_covariance_hessian_not_identity():
+    # H = A with eigenvalues 0.7, 1.5 and 3: the limit solves the Lyapunov
+    # equation, and the H = I formula (1 - lam)^2 Gamma is far from it, so a
+    # check that ignored the Hessian would fail here.
+    problem = random_metric_quadratic(20, 3, seed=11, eigenvalues=(0.7, 1.5, 3.0))
+    x_star = solve_minimizer(problem)
+    gamma = gamma_matrix(problem, x_star)
+    details = []
+    ok = True
+    for lam in (0.0, 0.5):
+        summary = clt_ensemble(problem, lam, 20_000, 2000, 11, x_star, workers=2)
+        sigma = solve_lyapunov(problem.hessian(x_star), gamma, lam).sigma
+        rel = _rel_frobenius(summary.sample_cov, sigma)
+        rel_identity = _rel_frobenius(summary.sample_cov, (1.0 - lam) ** 2 * gamma)
+        details.append(f"lam={lam}: relF={rel:.3f}, against H = I {rel_identity:.3f}")
+        ok = ok and rel <= 0.15 and rel_identity > 0.15
+    report(13, ok, "; ".join(details) + " (limit 0.15, above it against H = I, "
+           "n=2e4, M=2000)")
 
 
 # -- criteria 6-7: moment decay rates ------------------------------------------

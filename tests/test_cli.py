@@ -1,12 +1,18 @@
+import contextlib
+import inspect
+import io
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lambda_saga
 from lambda_saga import MinimizerError, cli
@@ -378,7 +384,8 @@ class TestInvalidInputs:
         ("run", {"label_rule": {"negative": "01", "positive": [5]}},
          "label_rule values must be lists of labels: "
          "{'negative': '01', 'positive': [5]}"),
-        ("run", {"dataset": "no-such-file.csv"}, "file not found: no-such-file.csv"),
+        ("run", {"dataset": "no-such-file.csv"},
+         "dataset file not found: 'no-such-file.csv'"),
         ("check", {"p_list": [0]}, "--p must be at least 1, got 0"),
         ("rates", {"checkpoints": [5]}, "at least 2 checkpoints are needed for a slope"),
         ("rates", {"p_list": [1, 1]}, "--p repeats a value: [1, 1]"),
@@ -397,6 +404,17 @@ class TestInvalidInputs:
         ("check", {"seed": -1}, "seed -1 must lie in [0, 2**128)"),
         ("lemmas", {"seed": -1}, "seed -1 must lie in [0, 2**128)"),
         ("clt", {"reps": 1}, "--reps must be at least 2, got 1"),
+        ("rates", {"mu": 10**400}, f"--mu must be finite, got {10**400}"),
+        ("clt", {"lambdas": [0.5, -10**400]}, f"--lambda must be finite, got {-10**400}"),
+        ("check", {"problem": {"scale": 10**400}},
+         f"--problem key 'scale' must be finite, got {10**400}"),
+        ("run", {"label_rule": {"negative": [10**400], "positive": [1]}},
+         f"label_rule values must be lists of labels: "
+         f"{ {'negative': [10**400], 'positive': [1]} }"),
+        ("rates", {"checkpoints": "10,\u00b2"},
+         "--checkpoints must be comma-separated counters or a list of integers, "
+         "got '10,\u00b2'"),
+        ("lemmas", {"max_p": 3}, "--max-p must be a positive even integer, got 3"),
     ], ids=["lambdas-scalar", "lambdas-string", "lambda-range", "lambda-repeated",
             "iters-null", "iters-fraction", "reps-string", "p_list-scalar",
             "checkpoints-string", "init-choice", "problem-list", "label_column",
@@ -405,7 +423,8 @@ class TestInvalidInputs:
             "checkpoints-one", "p_list-repeated", "run-alpha", "rates-alpha",
             "init_scale-nan", "c-inf", "mu-inf", "lambda-nan", "problem-scale-inf",
             "run-seed", "clt-seed", "rates-seed", "check-seed", "lemmas-seed",
-            "clt-reps-one"])
+            "clt-reps-one", "mu-overflow", "lambda-overflow", "problem-scale-overflow",
+            "label_rule-overflow", "checkpoints-superscript", "max_p-odd"])
     def test_malformed_config_value_named(self, tmp_path, capsys, monkeypatch,
                                           command, values, message):
         # Checked before any problem is made: make_problem is never called,
@@ -707,6 +726,70 @@ def test_problem_spec_defaults_and_conversions(spec, options):
         "N": 50, "d": 5, "seed": 7}
     assert {key: described[key] for key in options} == options
     assert all(type(described[key]) is float for key in options)
+
+
+def test_problem_options_declare_the_generator_defaults():
+    for generator, options in cli._PROBLEM_TYPES.values():
+        parameters = inspect.signature(generator).parameters
+        assert {key: parameters[key].default for key in options} == {
+            key: entry.default for key, entry in options.items()}
+
+
+class _Reached(Exception):
+    """Raised by the stand-ins for make_problem and cp_dp: the load accepted
+    every value, and the command has begun its work."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+# (subcommand, key, problem type): each key a subcommand reads, and each
+# --problem key of each type, set through a spec of that type.
+_CONFIG_TARGETS = [(command, key, None) for command, keys in cli._COMMAND_KEYS.items()
+                   for key in keys] + [
+    (command, key, family) for command, keys in cli._COMMAND_KEYS.items()
+    if "problem" in keys for family, (_, options) in cli._PROBLEM_TYPES.items()
+    for key in (*cli._SPEC_KEYS, *options)]
+
+# Integers past the float range and non-finite floats, drawn as often as
+# any other kind of value, alone or in a list.
+_EDGE_NUMBERS = st.sampled_from([10**400, -10**400, math.nan, math.inf, -math.inf])
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+                | _EDGE_NUMBERS)
+_JSON_VALUES = _EDGE_NUMBERS | _JSON_LEAVES | st.lists(_JSON_LEAVES, max_size=3) | (
+    st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(), inner, max_size=3), max_leaves=5))
+
+
+@settings(deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(target=st.sampled_from(_CONFIG_TARGETS), value=_JSON_VALUES)
+def test_config_value_accepted_or_named(monkeypatch, target, value):
+    """A value in a config file either passes the load, which reaches the
+    command's first call into the library, or exits 2 with one error line
+    naming its key or flag, nothing on stdout and no output directory."""
+    command, key, family = target
+    monkeypatch.setattr(cli, "make_problem", _reached)
+    monkeypatch.setattr(cli, "cp_dp", _reached)
+    if family is None:
+        config, names = {key: value}, (key, cli._CONFIG_KEYS[key].flag)
+    else:
+        config, names = {"problem": {"type": family, key: value}}, (
+            f"--problem key {key!r}",)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out_dir = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path), "--out-dir", str(out_dir)])
+        except _Reached:
+            return
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert any(name in err.getvalue() for name in names if name)
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("with_dataset", [False, True], ids=["spec", "dataset"])

@@ -1,3 +1,4 @@
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -315,3 +316,59 @@ def test_malformed_table_named_as_line_parser_names_it(tmp_path, kind):
         load_dataset(path, label_column=label_column)
     assert str(got.value) == str(want.value)
     assert message in str(got.value)
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("bad.csv", b"0,1,2\n1,\xff,3\n", "row 2: non-numeric cell"),
+    ("bad.svm", b"0 1:1\n1 1:\xff\n", r"row 2: malformed feature token '1:\\udcff'"),
+    ("bad.svm", b"0 1:1\n\xff 1:2\n", "row 2: non-numeric label"),
+    ("note.svm", b"0 1:1 # \xff\n7 1:2\n", None),
+], ids=["csv", "svmlight-token", "svmlight-label", "svmlight-comment"])
+def test_undecodable_byte_named_by_row(tmp_path, name, data, message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    fmt = "svmlight" if name.endswith(".svm") else "dense-csv"
+    if message is None:  # a comment may hold any byte
+        assert load_dataset(path, format=fmt).n_components == 2
+    else:
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: {message}"):
+            load_dataset(path, format=fmt)
+
+
+# Four rows of each format; DIGIT_SPLIT maps the labels 0 and 3 to 0 and 7
+# and 8 to 1.
+_FOUR_ROWS = {
+    "dense-csv": b"0,1.5,-2.25\n7,0.5,3.0\n3,-1.0,2.0\n8,2.5,0.125\n",
+    "svmlight": b"0 1:1.5 2:-2.25\n7 1:0.5 3:3.0 # a note\n3 2:-1.0\n8 1:2.5 2:0.125\n",
+}
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    fmt=st.sampled_from(sorted(_FOUR_ROWS)),
+    edits=st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                             st.integers(0, 200), st.integers(0, 255)),
+                   min_size=1, max_size=4),
+)
+def test_mutated_bytes_load_or_name_the_file_and_row(fmt, edits):
+    """Any few byte edits of a valid file either load or raise a
+    DatasetError that names the file and the row at fault (or, for a file
+    left with no row or no feature, the file)."""
+    data = bytearray(_FOUR_ROWS[fmt])
+    for op, at, byte in edits:
+        if op == "insert":
+            data.insert(at % (len(data) + 1), byte)
+        elif op == "replace":
+            data[at % len(data)] = byte
+        else:
+            del data[at % len(data)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated"
+        path.write_bytes(bytes(data))
+        try:
+            problem = load_dataset(path, format=fmt)
+        except DatasetError as exc:
+            assert re.match(rf"{re.escape(str(path))}: "
+                            r"(row \d+: |no rows$|no row has a feature$)", str(exc))
+        else:
+            assert isinstance(problem, LogisticProblem)

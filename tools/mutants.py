@@ -102,8 +102,8 @@ MUTANTS = [
      "tests/test_cli.py::TestInvalidInputs::test_malformed_config_value_named"
      "[checkpoints-one]"),
     ("non-finite-number-accepted", "src/lambda_saga/cli.py",
-     "if isinstance(value, float) and not np.isfinite(value):",
-     "if False:",
+     "if np.isfinite(number := float(value)):",
+     "if not np.isnan(number := float(value)):",
      "tests/test_cli.py::TestInvalidInputs::test_malformed_config_value_named"
      "[mu-inf]"),
     ("seed-unchecked-at-load", "src/lambda_saga/cli.py",
@@ -116,6 +116,34 @@ MUTANTS = [
      '"gradient_growth_bounded": growth_ok[1] if 1 in p_list else True,',
      "tests/test_problems.py::TestCheckAssumptions"
      "::test_gradient_growth_tested_without_order_1"),
+    ("int-past-float-range-unhandled", "src/lambda_saga/cli.py",
+     "with contextlib.suppress(OverflowError):",
+     "with contextlib.suppress(ZeroDivisionError):",
+     "tests/test_cli.py::TestInvalidInputs::test_malformed_config_value_named"
+     "[mu-overflow]"),
+    ("undecodable-csv-strict", "src/lambda_saga/datasets.py",
+     'open(path, newline="", errors="surrogateescape")',
+     'open(path, newline="")',
+     "tests/test_datasets.py::test_undecodable_byte_named_by_row[csv]"),
+    # The step kernel.  In criterion 3's covariances a never-drawn component
+    # N - 1 shows at every lambda, and a wrong lambda factor at 0.5 and 0.9:
+    # lambda = 0 and 1 cannot see it.
+    ("kernel-mean-update-over-n-plus-1", "src/lambda_saga/engine.py",
+     "np.divide(scratch, n_comp, out=scratch)",
+     "np.divide(scratch, n_comp + 1, out=scratch)",
+     "tests/test_acceptance.py::test_criterion_01_reduction_identities"),
+    ("kernel-resync-phase-off-by-one", "src/lambda_saga/engine.py",
+     "if state.n % n_comp == 0:",
+     "if state.n % n_comp == 1:",
+     "tests/test_acceptance.py::test_criterion_01_reduction_identities"),
+    ("kernel-lambda-squared", "src/lambda_saga/engine.py",
+     "np.multiply(mean, lam, out=scratch)",
+     "np.multiply(mean, lam * lam, out=scratch)",
+     "tests/test_acceptance.py::test_criterion_03_clt_covariance"),
+    ("sampler-never-draws-n-minus-1", "src/lambda_saga/engine.py",
+     "integers(0, self.n_components, size=count)",
+     "integers(0, max(self.n_components - 1, 1), size=count)",
+     "tests/test_acceptance.py::test_criterion_03_clt_covariance"),
 ]
 
 
