@@ -68,54 +68,3 @@ from .schedule import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AsymptoticCovariance",
-    "AssumptionReport",
-    "CovarianceError",
-    "DIGIT_SPLIT",
-    "DatasetError",
-    "DiagnosticsSnapshot",
-    "EnsembleResult",
-    "FactoredRows",
-    "FiniteSumProblem",
-    "IndexSampler",
-    "LabelRule",
-    "LogisticProblem",
-    "MinimizerError",
-    "MonteCarloSummary",
-    "NormPowerConstants",
-    "OptimizerState",
-    "ProblemError",
-    "QuadraticProblem",
-    "RateConditionReport",
-    "RateEstimate",
-    "RecursionTrace",
-    "RunError",
-    "RunTrace",
-    "StepSchedule",
-    "check_assumptions",
-    "check_norm_power_inequality",
-    "clt_ensemble",
-    "cp_dp",
-    "derive_seeds",
-    "diagnostics",
-    "fit_loglog_slope",
-    "gamma_matrix",
-    "gaussian_initial_point",
-    "init_state",
-    "lambda_saga_step",
-    "load_dataset",
-    "random_logistic",
-    "random_quadratic",
-    "rate_ensemble",
-    "recursion_bound_trace",
-    "run",
-    "run_ensemble",
-    "solve_lyapunov",
-    "solve_minimizer",
-    "summarize_scaled_errors",
-    "validate_rate_conditions",
-    "write_trace_csv",
-    "write_trace_metadata",
-]

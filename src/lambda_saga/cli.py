@@ -29,7 +29,7 @@ import os
 import shutil
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__
 from .datasets import DIGIT_SPLIT, LabelRule, load_dataset
 from .engine import (
-    RunError, _check_seed, gaussian_initial_point, run, run_ensemble,
+    RunError, _check_seed, _write_json, gaussian_initial_point, run, run_ensemble,
     write_trace_csv, write_trace_metadata,
 )
 from .inequalities import check_norm_power_inequality, cp_dp, recursion_bound_trace
@@ -301,12 +301,6 @@ def make_problem(config: dict):
     return generator(spec.pop("n"), spec.pop("d"), spec.pop("seed"), **spec)
 
 
-def _write_json(path: Path, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _checkpoints(config) -> list[int]:
     """The rates checkpoints: given, or 7 log-spaced from 1e3 to 1e5; times
     the epoch size when one is set."""
@@ -350,7 +344,7 @@ def cmd_run(config, out: Path):
 
     summary = {
         "problem": problem.describe(),
-        "schedule": {"c": schedule.c, "alpha": schedule.alpha},
+        "schedule": asdict(schedule),
         "final_grad_eval_norm": final_norms,
     }
     return summary, {"run_seconds": run_seconds}
@@ -417,17 +411,8 @@ def cmd_rates(config, out: Path):
     if mu is None:
         raise CliError("rates need --mu for problems without a known secant constant")
     x_ref = solve_minimizer(problem)
-    # No restricted secant constant exceeds rho, the smallest eigenvalue of
-    # H(x*): along its eigenvector the secant ratio tends to rho.
+    # rho, the smallest eigenvalue of H(x*), for the slope prediction and mu.
     rho = float(np.linalg.eigvalsh(problem.hessian(x_ref)).min())
-    mu_warnings = ()
-    if mu > rho:
-        mu_warnings = (f"mu={mu:g} exceeds rho={rho:.6g}, the smallest "
-                       "Hessian eigenvalue at x*, which bounds every secant constant",)
-    # The linearised recursion e <- (1 - c rho / n^alpha) e + noise, not a
-    # result of the paper, predicts that E ||X_n - x*||^(2p) decays as
-    # n^(-p alpha) for alpha < 1 and as n^(-p min(1, 2 c rho)) for alpha = 1.
-    rate = schedule.alpha if schedule.alpha < 1 else min(1.0, 2 * schedule.c * rho)
 
     estimates = {}
     rows = ["lambda,p,n,moment,value_gap_moment"]
@@ -440,20 +425,15 @@ def cmd_rates(config, out: Path):
             workers=config["workers"],
         )
         for p in p_list:
-            est = rate_estimate(result, lam, schedule, p, mu)
-            est = replace(est, warnings=est.warnings + mu_warnings)
-            record = estimates[f"lambda={lam},p={p}"] = est.to_dict()
-            predicted = record["predicted_slope"] = -p * rate
-            record["slope_minus_predicted"] = (
-                None if est.slope is None else est.slope - predicted)
-            for n, m, g in zip(record["checkpoints"], record["moments"],
-                               record["value_gap_moments"]):
+            est = rate_estimate(result, lam, schedule, p, mu, rho)
+            estimates[f"lambda={lam},p={p}"] = est.to_dict()
+            for n, m, g in zip(est.checkpoints, est.moments, est.value_gap_moments):
                 rows.append(f"{lam},{p},{n},{m!r},{g!r}")
             had_warnings = had_warnings or bool(est.warnings)
             slope = "undefined" if est.slope is None else f"{est.slope:.3f}"
             print(
                 f"[rates] lambda={lam} p={p}: slope={slope} "
-                f"linearised-recursion prediction={predicted:.3f} "
+                f"linearised-recursion prediction={est.predicted_slope:.3f} "
                 f"sup-ratio={est.scaled_sup_ratio} warnings={list(est.warnings)}"
             )
 
@@ -461,7 +441,7 @@ def cmd_rates(config, out: Path):
 
     summary = {
         "problem": problem.describe(),
-        "schedule": {"c": schedule.c, "alpha": schedule.alpha},
+        "schedule": asdict(schedule),
         "mu": mu,
         "estimates": estimates,
         "had_warnings": had_warnings,

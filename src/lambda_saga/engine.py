@@ -80,13 +80,13 @@ tracked in traces:
 
 from __future__ import annotations
 
-import bisect
 import csv
 import json
 import operator
 import time
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -431,14 +431,15 @@ _WIDE_STEPS = 64
 def _drive(state, problem, lam, schedule, n_iters, record_at, record, name):
     """Run ``n_iters`` steps, replication m drawing from ``state.samplers[m]``,
     with step size gamma(n) at state counter n, and call ``record(state)``
-    at each state counter in ``record_at``, a sorted sequence of distinct
+    at each state counter in ``record_at``, an increasing iterable of
     counters, that the state holds, the initial one included.  Each block
     of ``_STEP_BLOCK`` steps ends with a finiteness check, which names the
     first replication r with a non-finite iterate as ``name(r)``.
 
-    A block's ``_steps`` calls end at each ``_WIDE_STEPS`` boundary and at
-    each counter of ``record_at`` inside the block, found by bisection, and
-    the records run between those calls.  The block's indices and the
+    ``record_at`` is consumed one block at a time, so it may be lazy and
+    far longer than the run keeps.  A block's ``_steps`` calls end at each
+    ``_WIDE_STEPS`` boundary and at each of its counters inside the block,
+    and the records run between those calls.  The block's indices and the
     sampler tile are of the narrowest unsigned type holding N - 1: the tile
     assignment narrows each int64 draw, which lies in [0, N), without
     changing it.  Each call takes its steps' indices widened to intp.
@@ -448,10 +449,11 @@ def _drive(state, problem, lam, schedule, n_iters, record_at, record, name):
     narrow = np.min_scalar_type(problem.n_components - 1)
     ks = np.empty((min(_STEP_BLOCK, n_iters), m), dtype=narrow)
     tile = np.empty((min(_SAMPLER_TILE, m), ks.shape[0]), dtype=narrow)
-    due = bisect.bisect_left(record_at, state.n)
-    if due < len(record_at) and record_at[due] == state.n:
+    pending = (n for n in record_at if n >= state.n)
+    due = next(pending, None)
+    if due == state.n:
         record(state)
-        due += 1
+        due = next(pending, None)
     end = state.n + n_iters
     for n_first in range(state.n, end, _STEP_BLOCK):
         block = min(_STEP_BLOCK, end - n_first)
@@ -462,18 +464,19 @@ def _drive(state, problem, lam, schedule, n_iters, record_at, record, name):
             ks[:block, first:first + len(group)] = tile[:len(group), :block].T
         gammas = schedule.gammas(n_first, n_first + block - 1).tolist()
         # Counter n is reached after the block's first n - n_first steps.
-        inside = record_at[due:bisect.bisect_right(record_at, n_first + block, due)]
-        cuts = sorted({*range(_WIDE_STEPS, block, _WIDE_STEPS), block,
-                       *(n - n_first for n in inside)})
+        inside = set()
+        while due is not None and due <= n_first + block:
+            inside.add(due - n_first)
+            due = next(pending, None)
+        cuts = sorted({*range(_WIDE_STEPS, block, _WIDE_STEPS), block, *inside})
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             start = 0
             for stop in cuts:
                 _steps(state, problem, lam, gammas[start:stop],
                        ks[start:stop].astype(np.intp))
                 start = stop
-                if due < len(record_at) and record_at[due] == state.n:
+                if stop in inside:
                     record(state)
-                    due += 1
         finite = np.isfinite(state.x).all(axis=1)
         if not finite.all():
             r = int(np.flatnonzero(~finite)[0])
@@ -617,7 +620,10 @@ def run(
     def record(state):
         snapshots.append(diagnostics(state, problem, x_ref, schedule))
 
-    counters = sorted({1, *range(diag_every, n_iters + 1, diag_every), n_iters + 1})
+    # Iteration 1, each multiple of diag_every after it and the final state,
+    # each once and made as _drive reaches it.
+    counters = chain((1,), range(max(diag_every, 2), n_iters + 1, diag_every),
+                     (n_iters + 1,) if n_iters else ())
     _drive(state, problem, lam, schedule, n_iters, counters, record,
            lambda r: f"run with seed {seed}")
     return RunTrace(schedule, lam, seed, snapshots, state.x[0].copy(),
@@ -748,19 +754,21 @@ _TRACE_COLUMNS = ("n", "V_n", "A_n", "tau2", "T_n", "grad_eval_norm", "value_gap
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
-    """One snapshot per row; floats at full round-trip precision."""
-
-    def fmt(x):
-        return "" if x is None else repr(float(x))
-
+    """One snapshot per row, its fields in order; floats at full round-trip
+    precision."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_TRACE_COLUMNS)
-        for s in trace.snapshots:
-            writer.writerow(
-                [s.n, fmt(s.v_n), fmt(s.a_n), fmt(s.tau2), fmt(s.t_n),
-                 fmt(s.grad_eval_norm), fmt(s.value_gap)]
-            )
+        for snapshot in trace.snapshots:
+            n, *values = astuple(snapshot)
+            writer.writerow([n, *("" if x is None else repr(float(x)) for x in values)])
+
+
+def _write_json(path, payload: dict) -> None:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_trace_metadata(trace: RunTrace, path) -> None:
@@ -768,14 +776,11 @@ def write_trace_metadata(trace: RunTrace, path) -> None:
     so that the file is byte-reproducible.  ``"x1"``, the first iterate,
     is ``x0``: the iteration starts there."""
     x0 = trace.x0.tolist()
-    meta = {
-        "schedule": {"c": trace.schedule.c, "alpha": trace.schedule.alpha},
+    _write_json(path, {
+        "schedule": asdict(trace.schedule),
         "lambda": trace.lam,
         "seed": trace.seed,
         "problem": trace.problem_descriptor,
         "x0": x0,
         "x1": x0,
-    }
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })

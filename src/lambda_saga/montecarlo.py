@@ -133,7 +133,8 @@ class RateEstimate:
     width.  ``scaled_sup_ratio`` is max over checkpoints of
     moment * n^(p * alpha) normalized by its value at the first checkpoint, a
     proxy for the boundedness of the rate constant.  ``value_gap_*`` are the
-    analogous quantities for E (f(X_n) - f(x*))^p.
+    analogous quantities for E (f(X_n) - f(x*))^p.  ``predicted_slope`` and
+    ``slope_minus_predicted`` are None for an estimate made without rho.
     """
 
     p: int
@@ -147,6 +148,8 @@ class RateEstimate:
     value_gap_slope: float | None
     value_gap_slope_ci: float | None
     scaled_sup_ratio: float | None
+    predicted_slope: float | None = None
+    slope_minus_predicted: float | None = None
     condition_report: dict = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
     m_replications: int = 0
@@ -217,6 +220,7 @@ def rate_estimate(
     schedule: StepSchedule,
     p: int,
     mu: float | None = None,
+    rho: float | None = None,
 ) -> RateEstimate:
     """Estimate E ||X_n - x*||^(2p) at each checkpoint of an ensemble run
     with ``x_ref``.
@@ -226,6 +230,12 @@ def rate_estimate(
     kept in the moment table but excluded from the slope fit.  A nonpositive
     moment (exact convergence) leaves the slope undefined rather than
     failing.  One ensemble serves every moment order.
+
+    Given ``rho``, the smallest eigenvalue of H(x*), the slope is set beside
+    that of the linearised recursion e <- (1 - c rho / n^alpha) e + noise
+    (Bach and Moulines, NeurIPS 2011; not a result of the paper): -p alpha
+    for alpha < 1 and -p min(1, 2 c rho) for alpha = 1.  No restricted secant
+    constant exceeds rho, so a larger ``mu`` is warned of, last.
     """
     if result.checkpoint_iterates and not result.checkpoint_sq_error:
         raise ValueError(
@@ -264,6 +274,15 @@ def rate_estimate(
     slope, slope_ci = safe_fit(fit_ns, fit_moments, "moment")
     gap_slope, gap_ci = safe_fit(fit_ns, fit_gaps, "value-gap moment")
 
+    predicted = slope_gap = None
+    if rho is not None:
+        rate = schedule.alpha if schedule.alpha < 1 else min(1.0, 2 * schedule.c * rho)
+        predicted = -p * rate
+        slope_gap = None if slope is None else slope - predicted
+        if mu is not None and mu > rho:
+            warnings.append(f"mu={mu:g} exceeds rho={rho:.6g}, the smallest Hessian "
+                            "eigenvalue at x*, which bounds every secant constant")
+
     scaled_sup_ratio = None
     if all(m > 0.0 for m in moments):
         scaled = [
@@ -284,6 +303,8 @@ def rate_estimate(
         value_gap_slope=gap_slope,
         value_gap_slope_ci=gap_ci,
         scaled_sup_ratio=scaled_sup_ratio,
+        predicted_slope=predicted,
+        slope_minus_predicted=slope_gap,
         condition_report=condition_report,
         warnings=tuple(warnings),
         m_replications=len(result.seeds),

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -425,6 +426,23 @@ class TestRun:
         problem = Broken(np.random.default_rng(0).standard_normal((5, 2)))
         with pytest.raises(RunError, match="iteration n=56: boom"):
             run(problem, 0.0, StepSchedule(1.0, 1.0), 100, seed=0, diag_every=10)
+
+    def test_snapshot_counters_made_as_reached(self):
+        # A run that fails at its first step has made the counters of one
+        # block at most; a list of all 10**6 counters would take 70 MiB.
+        class FailsAtOnce(QuadraticProblem):
+            def component_gradients(self, ks, xs):
+                raise FloatingPointError("boom")
+
+        problem = FailsAtOnce(np.random.default_rng(0).standard_normal((5, 2)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(RunError, match="iteration n=1: boom"):
+                run(problem, 0.0, StepSchedule(1.0, 1.0), 10**6, seed=0, diag_every=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises_naming_seed_and_block(self):

@@ -218,6 +218,39 @@ class TestRateEnsemble:
             [estimate.checkpoints[i] for i in kept],
             [estimate.moments[i] for i in kept])
 
+    @pytest.mark.parametrize("c, alpha, predicted", [
+        (1.0, 0.75, -1.5), (0.2, 1.0, -0.8), (1.0, 1.0, -2.0),
+    ])
+    def test_predicted_slope_needs_rho(self, c, alpha, predicted):
+        # p = 2 and rho = 1: -p alpha below alpha = 1, -p min(1, 2 c rho) at it.
+        checkpoints = (100, 400, 1600)
+        sq_error = {n: np.full(4, 1.0 / n) for n in checkpoints}
+        result = EnsembleResult([0], np.zeros((4, 1)), np.zeros(4),
+                                {n: np.zeros((4, 1)) for n in checkpoints},
+                                sq_error, sq_error)
+        schedule = StepSchedule(c, alpha)
+        bare = rate_estimate(result, 0.5, schedule, 2).to_dict()
+        assert bare["predicted_slope"] is bare["slope_minus_predicted"] is None
+        estimate = rate_estimate(result, 0.5, schedule, 2, rho=1.0)
+        assert estimate.predicted_slope == pytest.approx(predicted, abs=1e-12)
+        assert estimate.slope_minus_predicted == estimate.slope - estimate.predicted_slope
+
+    def test_mu_above_rho_warned_after_the_fit_warnings(self, quad):
+        schedule = StepSchedule(1.0, 1.0)
+        result = run_ensemble(quad, 0.5, schedule, 50, 4, 0,
+                              x_ref=solve_minimizer(quad), checkpoints=(10, 51))
+        estimate = rate_estimate(result, 0.5, schedule, 1, mu=5.0, rho=0.5)
+        assert estimate.warnings[-3:] == (
+            "moment: fewer than 2 checkpoints after burn-in",
+            "value-gap moment: fewer than 2 checkpoints after burn-in",
+            "mu=5 exceeds rho=0.5, the smallest Hessian eigenvalue at x*, which "
+            "bounds every secant constant",
+        )
+        assert estimate.slope is estimate.slope_minus_predicted is None
+        assert estimate.predicted_slope == -1.0
+        quiet = rate_estimate(result, 0.5, schedule, 1, mu=0.5, rho=0.5)
+        assert not any("exceeds rho" in w for w in quiet.warnings)
+
     def test_scaled_sup_ratio_scales_by_n_to_the_p_alpha(self):
         # Squared errors that decay more slowly than n^(-p alpha), so that the
         # ratio exceeds 1 and depends on the power of n.

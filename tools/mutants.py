@@ -77,10 +77,18 @@ MUTANTS = [
      "grad_eval_norm = float(np.linalg.norm(state.mean[0]))",
      "tests/test_ensembles.py::test_scalar_run_diagnostics_match_its_replication_bitwise"
      "[random_quadratic-shape0]"),
-    ("predicted-slope-c-rho", "src/lambda_saga/cli.py",
+    ("predicted-slope-c-rho", "src/lambda_saga/montecarlo.py",
      "min(1.0, 2 * schedule.c * rho)",
      "min(1.0, schedule.c * rho)",
      "tests/test_cli.py::test_rates_writes_the_linearised_slope_prediction[1-predicted0]"),
+    ("mu-above-rho-unwarned", "src/lambda_saga/montecarlo.py",
+     "mu > rho",
+     "mu > 2 * rho",
+     "tests/test_cli.py::TestRatesCommand::test_mu_above_rho_warns[1-True]"),
+    ("run-counter-1-twice", "src/lambda_saga/engine.py",
+     "range(max(diag_every, 2), n_iters + 1, diag_every)",
+     "range(diag_every, n_iters + 1, diag_every)",
+     "tests/test_engine.py::TestRun::test_snapshot_counters[every-step]"),
     ("scale-checked-before-scaling-only", "src/lambda_saga/datasets.py",
      "        if not finite.all():\n",
      "        if False:\n",
